@@ -497,21 +497,6 @@ func (c *Client) TypeGraphForVendor(vendor string) *graph.Bipartite {
 	return g
 }
 
-// DeviceGraphForVendor builds the Figure 4 graph: the vendor's devices on
-// the left, their fingerprints on the right.
-func (c *Client) DeviceGraphForVendor(vendor string) *graph.Bipartite {
-	g := graph.New()
-	for dev, prints := range c.DevicePrints {
-		if c.DeviceVendor[dev] != vendor {
-			continue
-		}
-		for _, key := range prints {
-			g.AddEdge(dev, key)
-		}
-	}
-	return g
-}
-
 // DeviceGraphForVendorType restricts Figure 4 to one device type
 // (Amazon Echo in the paper = Amazon speakers here).
 func (c *Client) DeviceGraphForVendorType(vendor, typ string) *graph.Bipartite {
@@ -538,40 +523,74 @@ func (c *Client) DoCVendorAll() map[string]float64 {
 }
 
 // DoCDeviceAll returns DoC_device (the mean per-device DoC within each
-// vendor; Figure 2, blue line).
+// vendor; Figure 2, blue line). Every vendor of DeviceVendor is a key; one
+// without a printed device maps to 0.
 func (c *Client) DoCDeviceAll() map[string]float64 {
+	sums := map[string]float64{}
+	counts := map[string]int{}
+	for _, d := range c.deviceDoCs(func(string) bool { return true }) {
+		sums[d.vendor] += d.doc
+		counts[d.vendor]++
+	}
 	out := map[string]float64{}
 	for _, vendor := range c.vendorNames() {
-		g := c.DeviceGraphForVendor(vendor)
-		docs := g.DoCAll()
-		if len(docs) == 0 {
-			out[vendor] = 0
-			continue
+		out[vendor] = 0
+		if n := counts[vendor]; n > 0 {
+			out[vendor] = sums[vendor] / float64(n)
 		}
-		sum := 0.0
-		for _, v := range docs {
-			sum += v
-		}
-		out[vendor] = sum / float64(len(docs))
 	}
 	return out
 }
 
 // DeviceDoCsForVendor returns the per-device DoC values of one vendor
-// (Figure 10 rows).
+// (Figure 10 rows), in device-ID order.
 func (c *Client) DeviceDoCsForVendor(vendor string) []float64 {
-	g := c.DeviceGraphForVendor(vendor)
-	docs := g.DoCAll()
-	out := make([]float64, 0, len(docs))
-	keys := make([]string, 0, len(docs))
-	for k := range docs {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		out = append(out, docs[k])
+	devs := c.deviceDoCs(func(v string) bool { return v == vendor })
+	out := make([]float64, len(devs))
+	for i, d := range devs {
+		out[i] = d.doc
 	}
 	return out
+}
+
+// deviceDoC is one device's degree of customization within its vendor.
+type deviceDoC struct {
+	id, vendor string
+	keys       StringSet
+	doc        float64
+}
+
+// deviceDoCs computes, in one pass over DevicePrints, the DoC of every
+// device whose vendor keep accepts: the fraction of the device's
+// fingerprints that no other device of its vendor uses (graph.DoC on the
+// vendor's device-fingerprint graph). Devices come back sorted by ID, so
+// a sum over them is the same to the bit on every call.
+func (c *Client) deviceDoCs(keep func(vendor string) bool) []deviceDoC {
+	type use struct{ vendor, key string }
+	users := map[use]int{}
+	var devs []deviceDoC
+	for id, keys := range c.DevicePrints {
+		vendor := c.DeviceVendor[id]
+		if !keep(vendor) {
+			continue
+		}
+		devs = append(devs, deviceDoC{id: id, vendor: vendor, keys: keys})
+		for _, key := range keys {
+			users[use{vendor, key}]++
+		}
+	}
+	sort.Slice(devs, func(i, j int) bool { return devs[i].id < devs[j].id })
+	for i := range devs {
+		d := &devs[i]
+		solely := 0
+		for _, key := range d.keys {
+			if users[use{d.vendor, key}] == 1 {
+				solely++
+			}
+		}
+		d.doc = float64(solely) / float64(len(d.keys))
+	}
+	return devs
 }
 
 func (c *Client) vendorNames() []string {

@@ -74,26 +74,68 @@ type Table11Row struct {
 	PercentOutdated float64
 }
 
-// deviceSuiteTuples enumerates the distinct {device, ciphersuite list}
-// tuples (Appendix B's 5,827 unit of analysis).
-func (c *Client) deviceSuiteTuples() map[string][]uint16 {
-	out := map[string][]uint16{}
-	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
-		suiteKey := ""
+// suiteList is one distinct ciphersuite list and the devices proposing
+// it. Each of its devices is one {device, ciphersuite list} tuple,
+// Appendix B's unit of analysis (5,827 in the paper): the list stands
+// for len(devices) tuples, vendors[i].n of them from vendors[i].vendor.
+type suiteList struct {
+	suites  []uint16
+	devices StringSet
+	// vendors is sorted by vendor.
+	vendors []vendorCount
+}
+
+// vendorCount is how many of a list's devices belong to one vendor.
+type vendorCount struct {
+	vendor string
+	n      int
+}
+
+// suiteLists groups the {device, ciphersuite list} tuples by list in
+// one pass over the fingerprints. Every Appendix B value depends on the
+// list alone, so the tables evaluate it once per list and weight it by
+// the vendor counts. A device that reaches one list through several
+// prints (same suites, other extensions or version) is still one tuple:
+// the prints' device sets are unioned, not concatenated.
+func (c *Client) suiteLists() []suiteList {
+	byKey := map[string]int{}
+	var lists []suiteList
+	var key []byte
+	for _, k := range c.orderedKeys {
+		info := c.Prints[k]
+		key = key[:0]
 		for _, cs := range info.Print.CipherSuites {
-			suiteKey += string(rune('A'+(cs>>12))) + string(rune('a'+(cs>>8&0xF))) +
-				string(rune('a'+(cs>>4&0xF))) + string(rune('a'+(cs&0xF)))
+			key = append(key, byte(cs>>8), byte(cs))
 		}
-		for _, dev := range info.Devices {
-			out[dev+"|"+suiteKey] = info.Print.CipherSuites
+		i, ok := byKey[string(key)]
+		if !ok {
+			i = len(lists)
+			byKey[string(key)] = i
+			lists = append(lists, suiteList{suites: info.Print.CipherSuites})
+		}
+		lists[i].devices = unionSets(lists[i].devices, info.Devices)
+	}
+	var vendors []string
+	for i := range lists {
+		vendors = vendors[:0]
+		for _, dev := range lists[i].devices {
+			vendors = append(vendors, c.DeviceVendor[dev])
+		}
+		sort.Strings(vendors)
+		for j := 0; j < len(vendors); {
+			k := j + 1
+			for k < len(vendors) && vendors[k] == vendors[j] {
+				k++
+			}
+			lists[i].vendors = append(lists[i].vendors, vendorCount{vendors[j], k - j})
+			j = k
 		}
 	}
-	return out
+	return lists
 }
 
 // Table11 runs the semantics-aware matcher over every {device, suites}
-// tuple.
+// tuple, matching each distinct list once.
 func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
 	type acc struct {
 		tuples   int
@@ -101,28 +143,24 @@ func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
 		outdated int
 	}
 	accs := map[fingerprint.MatchCategory]*acc{}
-	tuples := c.deviceSuiteTuples()
-	total := len(tuples)
-	for id, suites := range tuples {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
-		}
-		// The matcher memoizes per distinct suite list, so repeated tuples
-		// cost a map hit and the memo is shared with Figure 8.
-		m := matcher.MatchSemantics(suites)
+	total := 0
+	for _, l := range c.suiteLists() {
+		// One match per distinct list; the matcher's memo is shared with
+		// Figure 8, which matches the same lists.
+		m := matcher.MatchSemantics(l.suites)
 		a := accs[m.Category]
 		if a == nil {
 			a = &acc{vendors: map[string]bool{}}
 			accs[m.Category] = a
 		}
-		a.tuples++
-		a.vendors[c.DeviceVendor[dev]] = true
+		n := len(l.devices)
+		total += n
+		a.tuples += n
+		for _, vc := range l.vendors {
+			a.vendors[vc.vendor] = true
+		}
 		if m.Category != fingerprint.Customization && !m.Library.SupportedIn2020 {
-			a.outdated++
+			a.outdated += n
 		}
 	}
 	cats := []fingerprint.MatchCategory{
@@ -172,8 +210,8 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 		out[i].Low = float64(i) / float64(buckets)
 		out[i].High = float64(i+1) / float64(buckets)
 	}
-	for _, suites := range c.deviceSuiteTuples() {
-		m := matcher.MatchSemantics(suites)
+	for _, l := range c.suiteLists() {
+		m := matcher.MatchSemantics(l.suites)
 		if m.Category != fingerprint.SameComponent && m.Category != fingerprint.SimilarComponent {
 			continue
 		}
@@ -182,9 +220,9 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 			idx = buckets - 1
 		}
 		if m.Category == fingerprint.SameComponent {
-			out[idx].SameComp++
+			out[idx].SameComp += len(l.devices)
 		} else {
-			out[idx].SimComp++
+			out[idx].SimComp += len(l.devices)
 		}
 	}
 	return out
@@ -230,23 +268,18 @@ type Figure9Row struct {
 // Figure9 computes vulnerable-component inclusion per vendor.
 func (c *Client) Figure9() []Figure9Row {
 	rows := map[string]*Figure9Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
+	for _, l := range c.suiteLists() {
+		classes := ciphersuite.VulnClasses(l.suites)
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure9Row{Vendor: vc.vendor, ByClass: map[ciphersuite.VulnClass]int{}}
+				rows[vc.vendor] = row
 			}
-		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure9Row{Vendor: vendor, ByClass: map[ciphersuite.VulnClass]int{}}
-			rows[vendor] = row
-		}
-		row.TupleCount++
-		for _, cl := range ciphersuite.VulnClasses(suites) {
-			row.ByClass[cl]++
+			row.TupleCount += vc.n
+			for _, cl := range classes {
+				row.ByClass[cl] += vc.n
+			}
 		}
 	}
 	out := make([]Figure9Row, 0, len(rows))
@@ -274,31 +307,28 @@ type Figure11Row struct {
 // vendor (Appendix B.7).
 func (c *Client) Figure11() []Figure11Row {
 	rows := map[string]*Figure11Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
-		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure11Row{Vendor: vendor}
-			rows[vendor] = row
-		}
-		row.Tuples++
+	for _, l := range c.suiteLists() {
 		// Skip a leading renegotiation SCSV, as the appendix does.
-		effective := suites
+		effective := l.suites
 		if len(effective) > 0 && effective[0] == ciphersuite.SCSVRenegotiation {
 			effective = effective[1:]
 		}
 		idx := ciphersuite.LowestVulnerableIndex(effective)
-		if idx >= 0 {
-			row.Indices = append(row.Indices, idx)
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure11Row{Vendor: vc.vendor}
+				rows[vc.vendor] = row
+			}
+			row.Tuples += vc.n
+			if idx < 0 {
+				continue
+			}
+			for i := 0; i < vc.n; i++ {
+				row.Indices = append(row.Indices, idx)
+			}
 			if idx == 0 {
-				row.FirstPreferred++
+				row.FirstPreferred += vc.n
 			}
 		}
 	}
@@ -326,36 +356,30 @@ type Figure12Row struct {
 // in the paper.
 func (c *Client) Figure12() []Figure12Row {
 	rows := map[string]*Figure12Row{}
-	for id, suites := range c.deviceSuiteTuples() {
-		if len(suites) == 0 || suites[0] == ciphersuite.SCSVRenegotiation {
+	for _, l := range c.suiteLists() {
+		if len(l.suites) == 0 || l.suites[0] == ciphersuite.SCSVRenegotiation {
 			continue
 		}
-		first, ok := ciphersuite.Lookup(suites[0])
+		first, ok := ciphersuite.Lookup(l.suites[0])
 		if !ok || first.IsSCSV() {
 			continue
 		}
-		var dev string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				dev = id[:i]
-				break
-			}
-		}
-		vendor := c.DeviceVendor[dev]
-		row := rows[vendor]
-		if row == nil {
-			row = &Figure12Row{
-				Vendor: vendor,
-				Kex:    map[string]int{},
-				Cipher: map[string]int{},
-				MAC:    map[string]int{},
-			}
-			rows[vendor] = row
-		}
 		k, ci, m := first.Components()
-		row.Kex[k]++
-		row.Cipher[ci]++
-		row.MAC[m]++
+		for _, vc := range l.vendors {
+			row := rows[vc.vendor]
+			if row == nil {
+				row = &Figure12Row{
+					Vendor: vc.vendor,
+					Kex:    map[string]int{},
+					Cipher: map[string]int{},
+					MAC:    map[string]int{},
+				}
+				rows[vc.vendor] = row
+			}
+			row.Kex[k] += vc.n
+			row.Cipher[ci] += vc.n
+			row.MAC[m] += vc.n
+		}
 	}
 	out := make([]Figure12Row, 0, len(rows))
 	for _, r := range rows {

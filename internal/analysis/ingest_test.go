@@ -308,25 +308,26 @@ func BenchmarkMatchSemanticsCorpus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	lists := c.suiteLists()
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			m := benchMatcher()
-			for _, suites := range c.deviceSuiteTuples() {
-				m.MatchSemantics(suites)
+			for _, l := range lists {
+				m.MatchSemantics(l.suites)
 			}
 		}
 	})
 	b.Run("memoized", func(b *testing.B) {
 		m := benchMatcher()
-		for _, suites := range c.deviceSuiteTuples() {
-			m.MatchSemantics(suites)
+		for _, l := range lists {
+			m.MatchSemantics(l.suites)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			for _, suites := range c.deviceSuiteTuples() {
-				m.MatchSemantics(suites)
+			for _, l := range lists {
+				m.MatchSemantics(l.suites)
 			}
 		}
 	})
