@@ -67,14 +67,17 @@ func NewDelta(records []dataset.Record) (*Delta, error) {
 // must not be reused afterwards. Unions never mutate an existing set
 // in place — they either keep it or replace it with a fresh slice —
 // so snapshots published by Clone stay immutable while the original
-// keeps merging. orderedKeys is rebuilt eagerly so table methods stay
-// read-only.
+// keeps merging. orderedKeys is rebuilt eagerly, so table methods stay
+// read-only, but only when the delta added a fingerprint: a delta of
+// already-known prints leaves the key set, and so its order, unchanged.
 func (c *Client) MergeDelta(d *Delta) {
 	f := d.frag
+	added := false
 	for key, part := range f.Prints {
 		info := c.Prints[key]
 		if info == nil {
 			c.Prints[key] = part
+			added = true
 			continue
 		}
 		info.Devices = unionSets(info.Devices, part.Devices)
@@ -98,7 +101,9 @@ func (c *Client) MergeDelta(d *Delta) {
 	for id, t := range f.DeviceType {
 		c.DeviceType[id] = t
 	}
-	c.rebuildOrderedKeys()
+	if added {
+		c.rebuildOrderedKeys()
+	}
 }
 
 // Clone copies the client's aggregate state so the copy can be

@@ -2,7 +2,11 @@ package probe
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/simnet"
 	"repro/internal/tlswire"
@@ -136,5 +140,71 @@ func TestRunBatteryRequiresHelloProber(t *testing.T) {
 	eng, _ := testEngine(newScriptedProber(), Options{Workers: 1})
 	if _, _, err := eng.RunBattery(context.Background(), []string{"a.example"}, simnet.VantageNewYork, testBattery()); err == nil {
 		t.Fatal("plain Prober must be rejected")
+	}
+}
+
+// overlapProber records, per host, which probes were sent in which
+// order and whether two probes of one host were ever in flight at once.
+// Each ProbeHello sleeps briefly so concurrent dispatch would overlap.
+type overlapProber struct {
+	mu       sync.Mutex
+	inFlight map[string]int
+	overlap  map[string]bool
+	order    map[string][]uint16
+}
+
+func (p *overlapProber) Probe(ctx context.Context, sni string, v simnet.Vantage) (Response, error) {
+	return Response{}, nil
+}
+
+func (p *overlapProber) ProbeHello(ctx context.Context, sni string, v simnet.Vantage, hello *tlswire.ClientHello) (Response, error) {
+	p.mu.Lock()
+	p.inFlight[sni]++
+	if p.inFlight[sni] > 1 {
+		p.overlap[sni] = true
+	}
+	p.order[sni] = append(p.order[sni], hello.CipherSuites[0])
+	p.mu.Unlock()
+	time.Sleep(200 * time.Microsecond)
+	p.mu.Lock()
+	p.inFlight[sni]--
+	p.mu.Unlock()
+	return Response{SelectedCipher: hello.CipherSuites[0]}, nil
+}
+
+// TestRunBatteryOneHostAtATime: with several workers, no two probes of
+// one host are in flight together and every host sees its battery in
+// battery order. Per-host state (retry budget, breaker, simnet's fault
+// attempt counter) is keyed without the probe name, so overlapping
+// probes of one host made results depend on scheduling.
+func TestRunBatteryOneHostAtATime(t *testing.T) {
+	p := &overlapProber{inFlight: map[string]int{}, overlap: map[string]bool{}, order: map[string][]uint16{}}
+	eng, _ := testEngine(p, Options{Workers: 4, Seed: 5})
+	var battery []BatteryProbe
+	var want []uint16
+	for i := 0; i < 8; i++ {
+		suite := uint16(0xC000 + i)
+		want = append(want, suite)
+		battery = append(battery, BatteryProbe{Name: fmt.Sprintf("p%d", i), Hello: func(sni string) *tlswire.ClientHello {
+			ch := &tlswire.ClientHello{LegacyVersion: tlswire.VersionTLS12, CipherSuites: []uint16{suite}, CompressionMethods: []byte{0}}
+			ch.SetSNI(sni)
+			return ch
+		}})
+	}
+	snis := []string{"a.example", "b.example", "c.example", "d.example", "e.example", "f.example"}
+	results, _, err := eng.RunBattery(context.Background(), snis, simnet.VantageNewYork, battery)
+	if err != nil {
+		t.Fatalf("RunBattery: %v", err)
+	}
+	if len(results) != len(snis)*len(battery) {
+		t.Fatalf("results = %d, want %d", len(results), len(snis)*len(battery))
+	}
+	for _, sni := range snis {
+		if p.overlap[sni] {
+			t.Errorf("%s: two battery probes were in flight at once", sni)
+		}
+		if !reflect.DeepEqual(p.order[sni], want) {
+			t.Errorf("%s: probes sent in order %04x, want battery order %04x", sni, p.order[sni], want)
+		}
 	}
 }

@@ -274,6 +274,12 @@ type BatteryProbe struct {
 // deterministic: SNIs sorted and deduplicated, probes in battery order,
 // results[i*len(battery)+j] = (snis[i], battery[j]). The prober must
 // implement HelloProber.
+//
+// Work is dispatched per host: one worker sends a host's whole battery,
+// in battery order. The host's retry budget and breaker, and any
+// per-host fault state in the prober, are keyed without the probe name;
+// if one host's probes ran concurrently, results would depend on
+// scheduling.
 func (e *Engine) RunBattery(ctx context.Context, snis []string, vantage simnet.Vantage, battery []BatteryProbe) ([]Result, Stats, error) {
 	hp, ok := e.prober.(HelloProber)
 	if !ok {
@@ -282,18 +288,7 @@ func (e *Engine) RunBattery(ctx context.Context, snis []string, vantage simnet.V
 	ordered := append([]string(nil), snis...)
 	sort.Strings(ordered)
 	ordered = dedup(ordered)
-
-	type job struct {
-		sni   string
-		probe BatteryProbe
-	}
-	jobs := make([]job, 0, len(ordered)*len(battery))
-	for _, sni := range ordered {
-		for _, bp := range battery {
-			jobs = append(jobs, job{sni, bp})
-		}
-	}
-	results := make([]Result, len(jobs))
+	results := make([]Result, len(ordered)*len(battery))
 
 	idx := make(chan int)
 	var wg sync.WaitGroup
@@ -302,15 +297,17 @@ func (e *Engine) RunBattery(ctx context.Context, snis []string, vantage simnet.V
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				sni, bp := jobs[i].sni, jobs[i].probe
-				hello := bp.Hello(sni)
-				results[i] = e.runJob(ctx, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
-					return hp.ProbeHello(actx, sni, vantage, hello)
-				})
+				sni := ordered[i]
+				for j, bp := range battery {
+					hello := bp.Hello(sni)
+					results[i*len(battery)+j] = e.runJob(ctx, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
+						return hp.ProbeHello(actx, sni, vantage, hello)
+					})
+				}
 			}
 		}()
 	}
-	for i := range jobs {
+	for i := range ordered {
 		idx <- i
 	}
 	close(idx)

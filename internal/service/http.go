@@ -103,6 +103,7 @@ func Handler(s *Service, opts HTTPOptions) http.Handler {
 
 	mux.HandleFunc("POST /v1/batch", withDeadline(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, opts.MaxBodyBytes)
+		decode := startPhase(s.phases.decode)
 		var batch wireBatch
 		dec := json.NewDecoder(r.Body)
 		if err := dec.Decode(&batch); err != nil {
@@ -125,6 +126,7 @@ func Handler(s *Service, opts HTTPOptions) http.Handler {
 		for i, wr := range batch.Records {
 			records[i] = wr.record()
 		}
+		decode.stop()
 		outcome := s.Submit(batch.Source, records)
 		w.Header().Set("Content-Type", "application/json")
 		if !outcome.Accepted() {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/obs"
 )
 
 func postBatch(t *testing.T, url, source string, recs []dataset.Record) *http.Response {
@@ -237,5 +238,53 @@ func TestHTTPServerFP(t *testing.T) {
 	// Two computations: the epoch-0 empty view and the epoch-1 census.
 	if st.ServerFPRuns != 2 || st.ServerFPTargets != int64(view.Targets) {
 		t.Fatalf("statz serverfp counts = (%d, %d), want (2, %d)", st.ServerFPRuns, st.ServerFPTargets, view.Targets)
+	}
+}
+
+// TestPhaseMetricsAndPublications: after a handful of batches posted
+// over HTTP, /metrics carries service_phase_seconds for all four
+// phases with nonzero counts and a publication counter; after the
+// drain, /statz reports 1 <= publications <= accepted_batches.
+func TestPhaseMetricsAndPublications(t *testing.T) {
+	recs := testRecords(t)
+	reg := obs.NewRegistry("")
+	s := New(Options{Seed: 23, Workers: 2, QueueDepth: 64, SourceBudget: 64, Metrics: reg})
+	srv := httptest.NewServer(Handler(s, HTTPOptions{Metrics: reg}))
+	defer srv.Close()
+
+	const n = 6
+	for i := 0; i < n; i++ {
+		if resp := postBatch(t, srv.URL, "src", recs[i*5:i*5+5]); resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("POST %d = %d", i, resp.StatusCode)
+		}
+	}
+	waitFor(t, "merges", func() bool { return s.Stats().AcceptedBatches == n })
+	code, body := getBody(t, srv.URL+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	samples, err := obs.ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, phase := range []string{"decode", "parse", "merge", "publish"} {
+		series := `service_phase_seconds_count{phase="` + phase + `"}`
+		if samples[series] <= 0 {
+			t.Errorf("%s = %v, want > 0", series, samples[series])
+		}
+	}
+	if pubs := samples["service_publications_total"]; pubs < 1 || pubs > n {
+		t.Errorf("service_publications_total = %v, want within [1, %d]", pubs, n)
+	}
+
+	drain(t, s)
+	var st Stats
+	_, statz := getBody(t, srv.URL+"/statz")
+	if err := json.Unmarshal([]byte(statz), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.AcceptedBatches != n || st.Publications < 1 || st.Publications > st.AcceptedBatches {
+		t.Fatalf("statz: %d accepted batches, %d publications; want %d and 1 <= publications <= accepted",
+			st.AcceptedBatches, st.Publications, n)
 	}
 }

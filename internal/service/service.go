@@ -5,6 +5,13 @@
 // analysis state published as immutable epoch snapshots, so report and
 // metrics reads are consistent and lock-free while ingestion continues.
 //
+// Ingestion is a two-stage pipeline. Workers parse batches into deltas
+// in parallel; one merger goroutine owns the live state, folds every
+// parsed batch waiting for it into that state in arrival order, and
+// then clones and publishes once for the whole group. The backlog alone
+// decides how many batches one clone covers: a lightly loaded daemon
+// still publishes after every batch.
+//
 // Robustness is the design center. Admission control reuses the probe
 // engine's patterns — a per-source in-queue budget (token-style) and a
 // per-source circuit breaker fed by poisoned batches — and sheds load
@@ -74,7 +81,8 @@ type Options struct {
 	// nil means the wall clock; tests inject a probe.FakeClock.
 	Clock probe.Clock
 	// Metrics optionally receives queue-depth/epoch gauges, conservation
-	// counters, and the ingest latency histogram. nil costs nothing.
+	// counters, the ingest latency histogram, and per-phase timings
+	// (service_phase_seconds{phase}). nil costs nothing.
 	Metrics *obs.Registry
 }
 
@@ -169,11 +177,17 @@ type Stats struct {
 	ShedRecords        int64 `json:"shed_records"`
 	QuarantinedBatches int64 `json:"quarantined_batches"`
 	QuarantinedRecords int64 `json:"quarantined_records"`
-	Epoch              int64 `json:"epoch"`
-	QueueDepth         int   `json:"queue_depth"`
+	// Epoch is the published snapshot's epoch: accepted batches folded in.
+	Epoch int64 `json:"epoch"`
+	// Publications counts published snapshots. One publication covers
+	// every batch merged in its group, so AcceptedBatches / Publications
+	// is the mean number of batches per clone.
+	Publications int64 `json:"publications"`
+	QueueDepth   int   `json:"queue_depth"`
 	// SnapshotAgeSeconds is the staleness of the published snapshot.
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
-	// IngestP50/P99 are admission-to-merge latencies in seconds.
+	// IngestP50/P99 are admission-to-publication latencies in seconds:
+	// from Submit to the snapshot that first covers the batch.
 	IngestP50 float64 `json:"ingest_p50_seconds"`
 	IngestP99 float64 `json:"ingest_p99_seconds"`
 	// ServerFPRuns counts census computations (one per epoch actually
@@ -208,6 +222,12 @@ type batchItem struct {
 	at      time.Time
 }
 
+// parsedBatch is a batch a worker has parsed, on its way to the merger.
+type parsedBatch struct {
+	item  batchItem
+	delta *analysis.Delta
+}
+
 // Service is the resident ingest-and-analyze daemon core, transport
 // agnostic: Handler wraps it in HTTP, tests drive Submit directly.
 type Service struct {
@@ -228,13 +248,24 @@ type Service struct {
 	seq      int
 	quars    []Quarantined
 
-	// stateMu guards the live merged client and the accepted record
-	// log; snapshots are deep clones published through snap.
-	stateMu  sync.Mutex
-	live     *analysis.Client
-	accepted []dataset.Record
-	batches  int64
-	snap     atomic.Pointer[Snapshot]
+	// handoff carries parsed batches from the workers to the merger and
+	// holds at most Workers of them. A deeper buffer would not speed up
+	// the merger; it would only let workers parse further ahead of it
+	// and keep more parsed deltas in memory. Admission is unaffected
+	// either way: a batch counts in depth until a publication covers it.
+	// flushed closes once the merger has published its last group.
+	handoff chan parsedBatch
+	flushed chan struct{}
+
+	// live and batches belong to the merger goroutine alone; snapshots
+	// are clones of live published through snap. stateMu guards the
+	// accepted record log, which the merger appends to in merge order.
+	live         *analysis.Client
+	batches      int64
+	snap         atomic.Pointer[Snapshot]
+	publications atomic.Int64
+	stateMu      sync.Mutex
+	accepted     []dataset.Record
 
 	// lastActivity is the watchdog heartbeat: unix nanos of the last
 	// merge or quarantine (or service start).
@@ -255,6 +286,11 @@ type Service struct {
 	shedB, shedR               atomic.Int64
 	quarantinedB, quarantinedR atomic.Int64
 
+	// phases are the service_phase_seconds{phase} series, nil without
+	// a registry: decode (HTTP body to records), parse (NewDelta), merge
+	// (one merge group) and publish (clone and store).
+	phases struct{ decode, parse, merge, publish *obs.Histogram }
+
 	gate   *gate
 	wg     sync.WaitGroup
 	ctx    context.Context
@@ -270,9 +306,16 @@ func New(opts Options) *Service {
 		queue:    make(chan batchItem, opts.QueueDepth),
 		inQueue:  map[string]int{},
 		breakers: map[string]*probe.Breaker{},
+		handoff:  make(chan parsedBatch, opts.Workers),
+		flushed:  make(chan struct{}),
 		live:     analysis.NewClientEmpty(),
 		gate:     newGate(),
 	}
+	phase := func(name string) *obs.Histogram {
+		return opts.Metrics.Histogram("service_phase_seconds", obs.DurationBuckets, obs.L("phase", name))
+	}
+	s.phases.decode, s.phases.parse = phase("decode"), phase("parse")
+	s.phases.merge, s.phases.publish = phase("merge"), phase("publish")
 	s.matcher = libcorpus.NewMatcher()
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	now := opts.Clock.Now()
@@ -282,6 +325,13 @@ func New(opts Options) *Service {
 		s.wg.Add(1)
 		go s.worker()
 	}
+	// Workers exit only after BeginDrain closes the queue; once the last
+	// one has handed off its batch, the merger may flush and stop.
+	go func() {
+		s.wg.Wait()
+		close(s.handoff)
+	}()
+	go s.merger()
 	return s
 }
 
@@ -365,24 +415,24 @@ func (s *Service) worker() {
 		// freezes completions (and therefore depth and budgets) without
 		// affecting what admission sees.
 		s.gate.wait()
-		s.process(item)
-		s.mu.Lock()
-		s.depth--
-		if s.inQueue[item.source]--; s.inQueue[item.source] <= 0 {
-			delete(s.inQueue, item.source)
+		if delta := s.parse(item); delta != nil {
+			s.handoff <- parsedBatch{item: item, delta: delta}
+			continue
 		}
-		s.mu.Unlock()
+		s.complete(item, false)
 		s.gauges()
 	}
 }
 
-// process merges one batch, quarantining on parse failure or panic. The
-// recover is the daemon's panic isolation: a poisoned batch costs a
-// counter and a quarantine entry, never the process.
-func (s *Service) process(item batchItem) {
+// parse turns one batch into a delta, quarantining it and returning nil
+// on parse failure or panic. The recover is the daemon's panic
+// isolation: a poisoned batch costs a counter and a quarantine entry,
+// never the process. Nothing after the hand-off quarantines a batch.
+func (s *Service) parse(item batchItem) (delta *analysis.Delta) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.quarantine(item, fmt.Sprintf("panic: %v", r))
+			delta = nil
 		}
 	}()
 	if f := s.opts.ChaosPanicFrac; f > 0 &&
@@ -392,50 +442,115 @@ func (s *Service) process(item batchItem) {
 	if d := s.opts.ChaosSlow; d > 0 {
 		if err := s.opts.Clock.Sleep(s.ctx, d); err != nil {
 			s.quarantine(item, fmt.Sprintf("aborted: %v", err))
-			return
+			return nil
 		}
 	}
-	delta, err := analysis.NewDelta(item.records)
+	t := startPhase(s.phases.parse)
+	d, err := analysis.NewDelta(item.records)
+	t.stop()
 	if err != nil {
 		s.quarantine(item, err.Error())
-		return
+		return nil
 	}
+	return d
+}
 
+// merger owns the live client. It takes one parsed batch, drains every
+// other batch already waiting in the hand-off, and publishes the group.
+// Parsing, the only step that can fail on bad input, stays in the
+// workers, and the merger holds no lock across a merge.
+func (s *Service) merger() {
+	defer close(s.flushed)
+	var group []parsedBatch
+	for p := range s.handoff {
+		group = append(group[:0], p)
+	waiting:
+		for {
+			select {
+			case p, ok := <-s.handoff:
+				if !ok {
+					break waiting
+				}
+				group = append(group, p)
+			default:
+				break waiting
+			}
+		}
+		s.publish(group)
+		clear(group) // drop the merged deltas and records
+	}
+}
+
+// publish merges a group in arrival order, appends its records to the
+// accepted log in the same order, clones and publishes once, and only
+// then completes the group's batches. Every snapshot is therefore the
+// analysis of a prefix of the accepted log, and a batch leaves the
+// queue accounting only once a published snapshot covers it.
+func (s *Service) publish(group []parsedBatch) {
+	t := startPhase(s.phases.merge)
+	for _, p := range group {
+		s.live.MergeDelta(p.delta)
+	}
 	s.stateMu.Lock()
-	s.live.MergeDelta(delta)
-	s.accepted = append(s.accepted, item.records...)
-	s.batches++
+	for _, p := range group {
+		s.accepted = append(s.accepted, p.item.records...)
+	}
+	records := int64(len(s.accepted))
+	s.stateMu.Unlock()
+	s.batches += int64(len(group))
+	t.stop()
+
+	t = startPhase(s.phases.publish)
 	now := s.opts.Clock.Now()
 	snap := &Snapshot{
 		Epoch:   s.batches,
 		Batches: s.batches,
-		Records: int64(len(s.accepted)),
+		Records: records,
 		At:      now,
 		Client:  s.live.Clone(),
 	}
-	// Publish while still holding stateMu: two workers finishing merges
-	// back-to-back must store their snapshots in epoch order, or a stale
-	// epoch could overwrite a newer one and survive as "final". Readers
-	// stay lock-free either way — they only load the pointer.
+	// Only the merger stores snapshots, so epochs are stored in order
+	// and never regress. Readers stay lock-free: they only load the
+	// pointer.
 	s.snap.Store(snap)
-	s.stateMu.Unlock()
-
+	t.stop()
+	s.publications.Add(1)
 	s.lastActivity.Store(now.UnixNano())
-	s.acceptedB.Add(1)
-	s.acceptedR.Add(int64(len(item.records)))
-	lat := now.Sub(item.at).Seconds()
-	s.latMu.Lock()
-	s.latencies = append(s.latencies, lat)
-	s.latMu.Unlock()
-	if m := s.opts.Metrics; m != nil {
-		m.Histogram("service_ingest_seconds", obs.DurationBuckets).Observe(lat)
-		m.Counter("service_accepted_records_total").Add(int64(len(item.records)))
-		m.Gauge("service_epoch").Set(snap.Epoch)
+
+	m := s.opts.Metrics // a nil registry hands out no-op series
+	m.Gauge("service_epoch").Set(snap.Epoch)
+	m.Counter("service_publications_total").Inc()
+	ingest := m.Histogram("service_ingest_seconds", obs.DurationBuckets)
+	acceptedRecords := m.Counter("service_accepted_records_total")
+	for _, p := range group {
+		n := int64(len(p.item.records))
+		s.acceptedB.Add(1)
+		s.acceptedR.Add(n)
+		lat := now.Sub(p.item.at).Seconds()
+		s.latMu.Lock()
+		s.latencies = append(s.latencies, lat)
+		s.latMu.Unlock()
+		ingest.Observe(lat)
+		acceptedRecords.Add(n)
+		s.complete(p.item, true)
 	}
+	s.gauges()
+}
+
+// complete retires a batch from the admission accounting: depth and the
+// source's in-queue budget move only here, never at dequeue, so shed
+// decisions are a pure function of the submit/completion interleaving.
+// A merged batch also reports success to its source's breaker.
+func (s *Service) complete(item batchItem, merged bool) {
 	s.mu.Lock()
-	br := s.breakers[item.source]
+	if merged {
+		s.breakers[item.source].Success()
+	}
+	s.depth--
+	if s.inQueue[item.source]--; s.inQueue[item.source] <= 0 {
+		delete(s.inQueue, item.source)
+	}
 	s.mu.Unlock()
-	br.Success()
 }
 
 func (s *Service) quarantine(item batchItem, reason string) {
@@ -489,21 +604,17 @@ func (s *Service) BeginDrain() {
 	s.gate.resume() // a paused daemon must still be able to drain
 }
 
-// AwaitDrain waits for the workers to flush the queue after BeginDrain.
+// AwaitDrain waits, after BeginDrain, for the workers to flush the
+// queue into the hand-off and for the merger to publish the last group.
 // On deadline it cancels in-flight chaos sleeps and reports an error —
 // the only path on which accepted batches can be lost.
 func (s *Service) AwaitDrain(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
 	select {
-	case <-done:
+	case <-s.flushed:
 		return nil
 	case <-ctx.Done():
 		s.cancel()
-		<-done
+		<-s.flushed
 		return fmt.Errorf("service: drain: %w", ctx.Err())
 	}
 }
@@ -557,6 +668,7 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	st.QueueDepth = s.depth
 	s.mu.Unlock()
+	st.Publications = s.publications.Load()
 	if snap := s.snap.Load(); snap != nil {
 		st.Epoch = snap.Epoch
 		st.SnapshotAgeSeconds = s.opts.Clock.Now().Sub(snap.At).Seconds()
@@ -617,6 +729,27 @@ func (s *Service) FinalReport(ctx context.Context, w io.Writer, cfg core.Config)
 	}
 	st.WriteReport(w)
 	return nil
+}
+
+// phaseTimer times one daemon phase into its service_phase_seconds
+// series. Started on a nil histogram (no registry attached) it never
+// reads the clock.
+type phaseTimer struct {
+	h  *obs.Histogram
+	sw obs.Stopwatch
+}
+
+func startPhase(h *obs.Histogram) phaseTimer {
+	if h == nil {
+		return phaseTimer{}
+	}
+	return phaseTimer{h: h, sw: obs.NewStopwatch()}
+}
+
+func (t phaseTimer) stop() {
+	if t.h != nil {
+		t.h.Observe(t.sw.Seconds())
+	}
 }
 
 // gate is the worker hold point: open (closed channel) by default,

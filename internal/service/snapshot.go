@@ -10,13 +10,16 @@ import (
 	"repro/internal/fingerprint"
 )
 
-// Snapshot is one immutable epoch of the merged analysis state. Workers
-// publish a fresh snapshot (a deep clone of the live client) after
-// every merge through an atomic pointer, so any number of readers — the
-// /report endpoint, metrics scrapers, the drain path — see a fully
-// consistent epoch without taking a lock or blocking ingestion.
+// Snapshot is one immutable epoch of the merged analysis state. The
+// merger publishes a fresh snapshot (a clone of the live client) after
+// each merge group through an atomic pointer, so any number of readers
+// — the /report endpoint, metrics scrapers, the drain path — see a fully
+// consistent epoch without taking a lock or blocking ingestion. Every
+// snapshot is the analysis of a prefix of the accepted record log.
 type Snapshot struct {
-	// Epoch counts published snapshots; it only moves forward.
+	// Epoch is the number of accepted batches folded in (equal to
+	// Batches). It only moves forward, and it skips values when several
+	// batches publish together; Stats.Publications counts snapshots.
 	Epoch int64
 	// Batches and Records are the accepted totals folded in so far.
 	Batches int64

@@ -1,12 +1,17 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/analysis"
+	"repro/internal/dataset"
 )
 
 // TestConcurrentSnapshotReadersDuringIngest is the race soak: sustained
@@ -130,4 +135,104 @@ func TestDrainMidLoadWithinDeadline(t *testing.T) {
 	if ok, reason := s.Ready(); ok || reason != "draining" {
 		t.Fatalf("drained service readiness: ok=%v reason=%q", ok, reason)
 	}
+}
+
+// TestSnapshotsArePrefixesOfAcceptedLog is the coalescing soak: four
+// submitters post 200 small batches back to back while readers keep
+// every distinct snapshot they load. After the drain, every kept
+// snapshot must be an epoch of whole batches (Epoch == Batches), epochs
+// and record counts must never decrease in any reader's load order, and
+// each snapshot's report must equal a fresh batch analysis of the
+// accepted log's first snap.Records records. Run it under -race.
+func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
+	recs := testRecords(t)
+	s := New(Options{Seed: 19, Workers: 4, QueueDepth: 1024, SourceBudget: 1024})
+
+	const writers, batchesPerWriter, batchSize = 4, 50, 4
+	const readers = 3
+	kept := make([][]*Snapshot, readers)
+	stop := make(chan struct{})
+	var readWg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		readWg.Add(1)
+		go func(r int) {
+			defer readWg.Done()
+			var last *Snapshot
+			for {
+				if snap := s.Snapshot(); snap != last {
+					kept[r] = append(kept[r], snap)
+					last = snap
+				}
+				select {
+				case <-stop:
+					return
+				default:
+					runtime.Gosched()
+				}
+			}
+		}(r)
+	}
+
+	var writeWg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		writeWg.Add(1)
+		go func(w int) {
+			defer writeWg.Done()
+			for i := 0; i < batchesPerWriter; i++ {
+				lo := ((w*batchesPerWriter + i) * 5) % (len(recs) - batchSize)
+				if o := s.Submit(fmt.Sprintf("writer-%d", w), recs[lo:lo+batchSize]); !o.Accepted() {
+					t.Errorf("writer %d batch %d: outcome %v", w, i, o)
+				}
+			}
+		}(w)
+	}
+	writeWg.Wait()
+	drain(t, s)
+	close(stop)
+	readWg.Wait()
+
+	st := s.Stats()
+	if !st.Conserved() || st.AcceptedBatches != writers*batchesPerWriter {
+		t.Fatalf("want all %d batches accepted and conserved: %+v", writers*batchesPerWriter, st)
+	}
+	if final := s.Snapshot(); final.Epoch != st.AcceptedBatches || final.Records != st.AcceptedRecords {
+		t.Fatalf("final snapshot epoch %d records %d, stats accepted %d batches %d records",
+			final.Epoch, final.Records, st.AcceptedBatches, st.AcceptedRecords)
+	}
+	if st.Publications < 1 || st.Publications > st.AcceptedBatches {
+		t.Fatalf("publications %d outside [1, %d]", st.Publications, st.AcceptedBatches)
+	}
+
+	distinct := map[*Snapshot]bool{}
+	for r, snaps := range kept {
+		for i, snap := range snaps {
+			distinct[snap] = true
+			if snap.Epoch != snap.Batches {
+				t.Fatalf("reader %d: snapshot epoch %d covers %d batches", r, snap.Epoch, snap.Batches)
+			}
+			if i > 0 && (snap.Epoch < snaps[i-1].Epoch || snap.Records < snaps[i-1].Records) {
+				t.Fatalf("reader %d: snapshot went back from epoch %d (%d records) to epoch %d (%d records)",
+					r, snaps[i-1].Epoch, snaps[i-1].Records, snap.Epoch, snap.Records)
+			}
+		}
+	}
+	accepted := s.AcceptedRecords()
+	for snap := range distinct {
+		if snap.Epoch == 0 {
+			continue // the empty epoch before the first publication
+		}
+		batch, err := analysis.NewClientWorkers(dataset.FromRecords(accepted[:snap.Records]), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got, want bytes.Buffer
+		snap.WriteReport(&got, s.matcher, 2)
+		ref := &Snapshot{Epoch: snap.Epoch, Batches: snap.Batches, Records: snap.Records, Client: batch}
+		ref.WriteReport(&want, s.matcher, 2)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("epoch %d (%d records): report differs from a batch analysis of the accepted prefix",
+				snap.Epoch, snap.Records)
+		}
+	}
+	t.Logf("%d batches, %d publications, %d distinct snapshots checked", st.AcceptedBatches, st.Publications, len(distinct))
 }
