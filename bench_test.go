@@ -403,10 +403,11 @@ func BenchmarkAblationRealTLSVsFastProbe(b *testing.B) {
 			break
 		}
 	}
+	ctx := context.Background()
 	b.Run("real-tls", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := world.Probe(sni, simnet.VantageNewYork); err != nil {
+			if _, err := world.ProbeContext(ctx, sni, simnet.VantageNewYork); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -414,7 +415,7 @@ func BenchmarkAblationRealTLSVsFastProbe(b *testing.B) {
 	b.Run("fast", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := world.ProbeFast(sni, simnet.VantageNewYork); err != nil {
+			if _, err := world.ProbeFastContext(ctx, sni, simnet.VantageNewYork); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -494,11 +495,11 @@ func BenchmarkEndToEndStudy(b *testing.B) {
 func BenchmarkIotlintSelf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		diags, err := lint.CheckDirs(".", []string{"./..."}, lint.Suite())
+		rep, err := lint.CheckDirsFull(".", []string{"./..."}, lint.Suite())
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(diags) != 0 {
+		if diags := rep.Unsuppressed(); len(diags) != 0 {
 			b.Fatalf("self-lint found %d unsuppressed diagnostic(s): %v", len(diags), diags[0])
 		}
 	}

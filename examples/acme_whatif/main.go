@@ -10,17 +10,16 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"time"
 
 	"repro/internal/acme"
-	"repro/internal/analysis"
+	"repro/internal/core"
 	"repro/internal/ctlog"
-	"repro/internal/dataset"
 	"repro/internal/pki"
-	"repro/internal/simnet"
 )
 
 func main() {
@@ -29,13 +28,13 @@ func main() {
 	flag.Parse()
 
 	// Measure today's vendor-signed population.
-	ds := dataset.Generate(dataset.Config{Seed: 31, Scale: *scale})
-	snis := ds.SNIsByMinUsers(2)
-	world := simnet.Build(simnet.Config{Seed: 32, SNIs: snis})
-	srv := analysis.NewServer(world, ds, snis, false)
+	study, err := core.Run(context.Background(), core.Config{Seed: 31, Scale: *scale, MinSNIUsers: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	var vendorValidities []int
-	for _, r := range srv.Records {
+	for _, r := range study.Server.Records {
 		if !r.IssuerPublic {
 			vendorValidities = append(vendorValidities, r.ValidityDays)
 		}
@@ -48,7 +47,7 @@ func main() {
 		len(vendorValidities), vendorValidities[0], vendorValidities[len(vendorValidities)-1])
 
 	// Stand up the ACME directory over a public trust CA + CT log.
-	epoch := world.ProbeTime
+	epoch := study.World.ProbeTime
 	ca := pki.NewCA("Let's Encrypt", pki.PublicTrustCA, epoch.AddDate(-5, 0, 0), 20, 1)
 	ctLog := ctlog.New("acme-ct", func() time.Time { return epoch })
 	dir := acme.NewDirectory(ca, ctLog, 90, func() time.Time { return epoch })

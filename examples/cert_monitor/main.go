@@ -9,16 +9,15 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
 	"sort"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/dataset"
+	"repro/internal/core"
 	"repro/internal/pki"
-	"repro/internal/simnet"
 )
 
 type alarm struct {
@@ -32,12 +31,13 @@ func main() {
 	warnDays := flag.Int("warn-days", 90, "expiry warning window in days")
 	flag.Parse()
 
-	ds := dataset.Generate(dataset.Config{Seed: 11, Scale: *scale})
-	snis := ds.SNIsByMinUsers(2)
-	world := simnet.Build(simnet.Config{Seed: 12, SNIs: snis})
-	srv := analysis.NewServer(world, ds, snis, false)
+	study, err := core.Run(context.Background(), core.Config{Seed: 11, Scale: *scale, MinSNIUsers: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv := study.Server
 
-	now := world.ProbeTime
+	now := study.World.ProbeTime
 	var alarms []alarm
 	add := func(severity, sni, format string, args ...any) {
 		alarms = append(alarms, alarm{severity, sni, fmt.Sprintf(format, args...)})

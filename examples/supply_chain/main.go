@@ -23,7 +23,7 @@ func main() {
 	flag.Parse()
 
 	ds := dataset.Generate(dataset.Config{Seed: 3, Scale: *scale})
-	client, err := analysis.NewClient(ds)
+	client, err := analysis.NewClientWorkers(ds, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/libcorpus"
 	"repro/internal/pki"
+	"repro/internal/probe"
 	"repro/internal/simnet"
 	"repro/internal/tlswire"
 )
@@ -26,8 +28,8 @@ var (
 func client(t testing.TB) *Client {
 	t.Helper()
 	if paperClient == nil {
-		paperDS = dataset.Generate(dataset.DefaultConfig())
-		c, err := NewClient(paperDS)
+		paperDS = dataset.Generate(dataset.Config{Seed: 20231024, Scale: 1})
+		c, err := NewClientWorkers(paperDS, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +44,8 @@ func server(t testing.TB) *Server {
 		ds := dataset.Generate(dataset.Config{Seed: 41, Scale: 0.35})
 		snis := ds.SNIsByMinUsers(2)
 		w := simnet.Build(simnet.Config{Seed: 2, SNIs: snis})
-		smallSrv = NewServer(w, ds, snis, false)
+		results, stats := probe.New(probe.WorldProber{World: w}, probe.Options{}).Run(context.Background(), snis, simnet.Vantages())
+		smallSrv = NewServerFromProbes(w, ds, snis, simnet.Vantages(), results, stats)
 	}
 	return smallSrv
 }
@@ -664,12 +667,12 @@ func TestChainStatusDistribution(t *testing.T) {
 	}
 }
 
-func BenchmarkNewClient(b *testing.B) {
+func BenchmarkNewClientWorkers(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.2})
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := NewClient(ds); err != nil {
+		if _, err := NewClientWorkers(ds, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,7 +58,10 @@ type Client struct {
 	orderedKeys []string
 }
 
-func newEmptyClient() *Client {
+// NewClientEmpty builds a Client with no observations, the zero state a
+// resident service grows by merging deltas. DS stays nil — every
+// client-side table derives from the merged observations alone.
+func NewClientEmpty() *Client {
 	return &Client{
 		Prints:        map[string]*FingerprintInfo{},
 		DevicePrints:  map[string]StringSet{},
@@ -75,12 +78,6 @@ func (c *Client) rebuildOrderedKeys() {
 		c.orderedKeys = append(c.orderedKeys, k)
 	}
 	sort.Strings(c.orderedKeys)
-}
-
-// NewClient parses the dataset's raw ClientHello records and builds the
-// fingerprint table, sharding ingestion across GOMAXPROCS workers.
-func NewClient(ds *dataset.Dataset) (*Client, error) {
-	return NewClientWorkers(ds, 0)
 }
 
 // parseKey memoizes parsing per (stack, SNI-presence) pair, in symbol
@@ -213,7 +210,8 @@ func (s *clientShard) init(cx *ingestCtx) {
 	s.versionCounts = map[tlswire.Version]int{}
 }
 
-// NewClientWorkers is NewClient with an explicit worker count (<= 0:
+// NewClientWorkers parses the dataset's raw ClientHello records and
+// builds the fingerprint table, sharding ingestion across workers (<= 0:
 // GOMAXPROCS). The result is byte-for-byte independent of the worker
 // count; workers only shard the parsing and aggregation work.
 func NewClientWorkers(ds *dataset.Dataset, workers int) (*Client, error) {
@@ -236,7 +234,7 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 	if workers < 1 {
 		workers = 1
 	}
-	c := newEmptyClient()
+	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
 		c.DeviceVendor[d.ID] = d.Vendor

@@ -15,25 +15,14 @@ import (
 // runs the same clientShard ingest, and finalizes into string form;
 // MergeDelta then unions sorted StringSets — and a union of sorted
 // sets is itself sorted, so a Client grown delta-by-delta is identical
-// to one built by NewClient over the union of the records. That is the
-// equivalence the service's drain invariant relies on.
+// to one built by NewClientWorkers over the union of the records. That
+// is the equivalence the service's drain invariant relies on.
 
 // Delta is the parsed, aggregated form of one record batch, ready to
 // merge into a Client. A Delta is single-use: merging moves its
 // internal state into the Client.
 type Delta struct {
-	frag    *Client
-	records int64
-}
-
-// Records reports how many records the delta aggregates.
-func (d *Delta) Records() int64 { return d.records }
-
-// NewClientEmpty builds a Client with no observations, the zero state a
-// resident service grows by merging deltas. DS stays nil — every
-// client-side table derives from the merged observations alone.
-func NewClientEmpty() *Client {
-	return newEmptyClient()
+	frag *Client
 }
 
 // NewDelta parses one record batch into a mergeable Delta. The batch
@@ -51,7 +40,7 @@ func NewDelta(records []dataset.Record) (*Delta, error) {
 	if shard.err != nil {
 		return nil, fmt.Errorf("analysis: record %d: %w", shard.errIdx, shard.err)
 	}
-	d := &Delta{frag: newEmptyClient(), records: shard.records}
+	d := &Delta{frag: NewClientEmpty()}
 	shard.finalize(d.frag)
 	d.frag.rebuildOrderedKeys()
 	for _, r := range records {

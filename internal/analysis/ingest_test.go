@@ -40,7 +40,7 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 	prints := map[string]*rawInfo{}
 	devicePrints := map[string]map[string]bool{}
 	sniDevices := map[string]map[string]bool{}
-	c := newEmptyClient()
+	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
 		c.DeviceVendor[d.ID] = d.Vendor
@@ -281,7 +281,7 @@ func sortStrings(s []string) {
 }
 
 func BenchmarkNewClientIngestion(b *testing.B) {
-	ds := dataset.Generate(dataset.DefaultConfig())
+	ds := dataset.Generate(dataset.Config{Seed: 20231024, Scale: 1})
 	b.Run("workers=1", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -304,7 +304,7 @@ func benchMatcher() *fingerprint.Matcher { return libcorpus.NewMatcher() }
 
 func BenchmarkMatchSemanticsCorpus(b *testing.B) {
 	ds := dataset.Generate(dataset.Config{Seed: 11, Scale: 0.4})
-	c, err := NewClient(ds)
+	c, err := NewClientWorkers(ds, 0)
 	if err != nil {
 		b.Fatal(err)
 	}

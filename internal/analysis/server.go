@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"bytes"
-	"context"
 	"crypto/x509"
 	"sort"
 	"time"
@@ -58,20 +57,6 @@ type Server struct {
 	// ProbeStats summarizes the resilient-probe run: attempts, retries,
 	// failure classes, breaker activity.
 	ProbeStats probe.Stats
-}
-
-// NewServer probes every SNI from every vantage (real TLS when realTLS is
-// set) through the resilient engine with default options and assembles
-// the certificate dataset of Section 5.1.
-func NewServer(w *simnet.World, ds *dataset.Dataset, snis []string, realTLS bool) *Server {
-	return NewServerProbed(w, ds, snis, probe.WorldProber{World: w, RealTLS: realTLS}, probe.Options{})
-}
-
-// NewServerProbed is NewServer with an explicit probing backend and
-// engine options, for fault-injected or live-backend collection runs.
-func NewServerProbed(w *simnet.World, ds *dataset.Dataset, snis []string, p probe.Prober, opts probe.Options) *Server {
-	results, stats := probe.New(p, opts).Run(context.Background(), snis, simnet.Vantages())
-	return NewServerFromProbes(w, ds, snis, simnet.Vantages(), results, stats)
 }
 
 // NewServerFromProbes assembles the Section 5 certificate dataset from an
@@ -766,13 +751,4 @@ func (s *Server) ExpiredDuringCapture() []DomainRow {
 	return s.domainRows(func(r *CertRecord) bool {
 		return r.Status == pki.StatusExpired && r.Leaf.NotAfter.Before(s.World.CaptureEnd)
 	})
-}
-
-// VendorsOfDataset counts vendors present in the visitation index.
-func (s *Server) VendorsOfDataset() int {
-	set := map[string]bool{}
-	for _, d := range s.DS.Devices {
-		set[d.Vendor] = true
-	}
-	return len(set)
 }

@@ -411,7 +411,7 @@ func TestGroupedTablesMatchTupleReference(t *testing.T) {
 	}
 	fromConfig := func(cfg dataset.Config) func(t *testing.T) *Client {
 		return func(t *testing.T) *Client {
-			c, err := NewClient(dataset.Generate(cfg))
+			c, err := NewClientWorkers(dataset.Generate(cfg), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

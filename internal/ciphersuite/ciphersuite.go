@@ -224,9 +224,6 @@ func All() []Suite {
 	return out
 }
 
-// Count returns the number of registered suites.
-func Count() int { return len(registry) }
-
 // ListLevel classifies a whole proposed ciphersuite list: the worst level of
 // any member suite (SCSV and GREASE values are ignored).
 func ListLevel(ids []uint16) SecurityLevel {

@@ -51,11 +51,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// DefaultConfig is the paper-scale configuration.
-func DefaultConfig() Config {
-	return Config{Seed: 20231024, Scale: 1.0}
-}
-
 func (c Config) withDefaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 1.0

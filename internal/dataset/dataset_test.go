@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/ciphersuite"
@@ -15,7 +16,7 @@ var cached *Dataset
 func paperScale(t testing.TB) *Dataset {
 	t.Helper()
 	if cached == nil {
-		cached = Generate(DefaultConfig())
+		cached = Generate(Config{Seed: 20231024, Scale: 1})
 	}
 	return cached
 }
@@ -416,7 +417,7 @@ func TestScaleDown(t *testing.T) {
 }
 
 func BenchmarkGeneratePaperScale(b *testing.B) {
-	cfg := DefaultConfig()
+	cfg := Config{Seed: 20231024, Scale: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Generate(cfg)
@@ -428,5 +429,43 @@ func BenchmarkGenerateSmall(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Generate(cfg)
+	}
+}
+
+// TestRecordsAgreeWithCryptoTLS replays every generated record through
+// the crypto/tls differential oracle. crypto/tls refuses many of the
+// legacy hellos the study models (SSL 3.0 and TLS 1.0 offers, suites it
+// does not implement), so acceptance is only required of some record;
+// every record it does accept must decode here exactly as crypto/tls
+// decodes it. The acceptance count depends on the Go version, so it is
+// logged, not pinned.
+func TestRecordsAgreeWithCryptoTLS(t *testing.T) {
+	for _, cfg := range []Config{
+		{Seed: 1, Scale: 1},
+		{Seed: 20231024, Scale: 1},
+		{Seed: 1, Scale: 1, AsOf: date(2025, 8, 1)},
+	} {
+		name := fmt.Sprintf("seed=%d", cfg.Seed)
+		if !cfg.AsOf.IsZero() {
+			name += "/asof=" + cfg.AsOf.Format("2006-01-02")
+		}
+		t.Run(name, func(t *testing.T) {
+			recs := Generate(cfg).Records
+			accepted := 0
+			for i := 0; i < recs.Len(); i++ {
+				raw := recs.Raw(i)
+				if _, ok := tlswire.CryptoTLSView(raw); !ok {
+					continue
+				}
+				accepted++
+				if diffs := tlswire.CompareWithCryptoTLS(raw); len(diffs) > 0 {
+					t.Errorf("record %d (stack %s): %v", i, recs.At(i).StackID, diffs)
+				}
+			}
+			if accepted == 0 {
+				t.Fatalf("crypto/tls accepted none of %d records", recs.Len())
+			}
+			t.Logf("crypto/tls accepted %d of %d records", accepted, recs.Len())
+		})
 	}
 }

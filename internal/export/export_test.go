@@ -2,11 +2,13 @@ package export
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/probe"
 	"repro/internal/simnet"
 )
 
@@ -71,7 +73,7 @@ func TestExportedStatsMatchOriginal(t *testing.T) {
 	}
 	st := Stats(rows)
 	// The anonymized release must reproduce the aggregates.
-	client, err := analysis.NewClient(ds)
+	client, err := analysis.NewClientWorkers(ds, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +100,8 @@ func TestCertRoundTrip(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 23, Scale: 0.1})
 	snis := ds.SNIsByMinUsers(2)
 	w := simnet.Build(simnet.Config{Seed: 24, SNIs: snis})
-	srv := analysis.NewServer(w, ds, snis, false)
+	results, stats := probe.New(probe.WorldProber{World: w}, probe.Options{}).Run(context.Background(), snis, simnet.Vantages())
+	srv := analysis.NewServerFromProbes(w, ds, snis, simnet.Vantages(), results, stats)
 
 	var buf bytes.Buffer
 	n, err := WriteCerts(&buf, srv)

@@ -6,8 +6,7 @@
 // The package provides the canonical string form, a stable hash, exact
 // matching against a known-library corpus, the semantics-aware matcher of
 // Appendix B.2 (Exact / SameSetDiffOrder / SameComponent / SimilarComponent
-// / Customization), and the Jaccard similarity over ciphersuite lists and
-// fingerprint sets.
+// / Customization), and the Jaccard similarity over ciphersuite lists.
 package fingerprint
 
 import (
@@ -132,32 +131,6 @@ func (f Fingerprint) VulnClasses() []ciphersuite.VulnClass {
 	return ciphersuite.VulnClasses(f.CipherSuites)
 }
 
-// NormalizeGREASE returns a copy of the fingerprint with GREASE codepoints
-// (both suites and extensions) replaced by a single canonical placeholder,
-// so that two captures of the same stack differing only in the random GREASE
-// values compare equal. The placeholder preserves position.
-func (f Fingerprint) NormalizeGREASE() Fingerprint {
-	const placeholder = 0x0A0A
-	out := Fingerprint{Version: f.Version}
-	out.CipherSuites = make([]uint16, len(f.CipherSuites))
-	for i, cs := range f.CipherSuites {
-		if ciphersuite.IsGREASE(cs) {
-			out.CipherSuites[i] = placeholder
-		} else {
-			out.CipherSuites[i] = cs
-		}
-	}
-	out.Extensions = make([]uint16, len(f.Extensions))
-	for i, e := range f.Extensions {
-		if tlswire.IsGREASEExtension(e) {
-			out.Extensions[i] = placeholder
-		} else {
-			out.Extensions[i] = e
-		}
-	}
-	return out
-}
-
 // HasGREASESuites reports whether any proposed suite is a GREASE value.
 func (f Fingerprint) HasGREASESuites() bool {
 	for _, cs := range f.CipherSuites {
@@ -186,13 +159,6 @@ func (f Fingerprint) ProposesFallbackSCSV() bool {
 		}
 	}
 	return false
-}
-
-// JaccardSuites computes the Jaccard similarity of the ciphersuite *sets*
-// of two fingerprints (order ignored, duplicates collapsed, signalling
-// values retained since libraries differ in whether they send them).
-func JaccardSuites(a, b Fingerprint) float64 {
-	return JaccardUint16(a.CipherSuites, b.CipherSuites)
 }
 
 // JaccardUint16 is the Jaccard similarity |A∩B| / |A∪B| of two uint16
@@ -254,60 +220,6 @@ func sortedDedup(buf []uint16, vs []uint16) []uint16 {
 		}
 	}
 	return buf[:n]
-}
-
-// JaccardStrings is the Jaccard similarity of two string sets. It iterates
-// the maps directly without building per-call scratch sets; callers that
-// already hold sorted slices should prefer JaccardSortedStrings, which
-// avoids materializing maps at all.
-func JaccardStrings(a, b map[string]bool) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	// Probe from the smaller side: map lookups dominate, so this halves
-	// the work for skewed set sizes.
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	inter := 0
-	for v := range a {
-		if b[v] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// JaccardSortedStrings is the Jaccard similarity of two sorted, deduplicated
-// string slices, computed by sorted-merge with zero allocations. It is the
-// hot-path form used by the pairwise vendor-similarity table, where every
-// vendor's fingerprint set is sorted once and compared O(V²) times.
-func JaccardSortedStrings(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for i, j := 0, 0; i < len(a) && j < len(b); {
-		switch {
-		case a[i] == b[j]:
-			inter++
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	union := len(a) + len(b) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
 }
 
 // MatchCategory is the semantics-aware matching category of Appendix B.2.

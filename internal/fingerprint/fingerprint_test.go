@@ -68,14 +68,11 @@ func TestFromClientHello(t *testing.T) {
 	}
 }
 
-func TestNormalizeGREASE(t *testing.T) {
+func TestGREASEDetection(t *testing.T) {
 	a := fp(tlswire.VersionTLS12, []uint16{0x1A1A, 0xC02F}, []uint16{0xDADA, 0})
 	b := fp(tlswire.VersionTLS12, []uint16{0x5A5A, 0xC02F}, []uint16{0x2A2A, 0})
 	if a.Key() == b.Key() {
-		t.Fatal("raw keys should differ")
-	}
-	if a.NormalizeGREASE().Key() != b.NormalizeGREASE().Key() {
-		t.Fatal("normalized keys should match")
+		t.Fatal("keys of different GREASE values should differ")
 	}
 	if !a.HasGREASESuites() || !a.HasGREASEExtensions() {
 		t.Fatal("GREASE detection failed")

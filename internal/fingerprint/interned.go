@@ -28,13 +28,3 @@ func (f Fingerprint) Intern(a *intern.Arena) Interned {
 		Exts:    a.Put(f.Extensions),
 	}
 }
-
-// Materialize rebuilds the row-shaped Fingerprint. The returned slices
-// are read-only views into the arena; callers that mutate must copy.
-func (i Interned) Materialize(a *intern.Arena) Fingerprint {
-	return Fingerprint{
-		Version:      i.Version,
-		CipherSuites: a.Get(i.Suites),
-		Extensions:   a.Get(i.Exts),
-	}
-}

@@ -3,7 +3,6 @@ package fingerprint
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -29,25 +28,6 @@ func jaccardUint16Ref(a, b []uint16) float64 {
 		}
 	}
 	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
-}
-
-// jaccardStringsRef is the seed's implementation of JaccardStrings (no
-// smaller-side swap).
-func jaccardStringsRef(a, b map[string]bool) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 1
-	}
-	inter := 0
-	for v := range a {
-		if b[v] {
-			inter++
-		}
-	}
-	union := len(a) + len(b) - inter
 	if union == 0 {
 		return 1
 	}
@@ -92,42 +72,6 @@ func TestJaccardUint16DoesNotMutateInputs(t *testing.T) {
 	if a[0] != 9 || a[1] != 3 || a[2] != 7 || a[3] != 3 || b[0] != 7 || b[1] != 1 {
 		t.Fatalf("inputs mutated: a=%v b=%v", a, b)
 	}
-}
-
-func TestJaccardStringsMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	words := []string{"a", "b", "c", "dd", "ee", "fff", "ggg", "h", "i", "jj"}
-	mk := func() map[string]bool {
-		out := map[string]bool{}
-		for i, n := 0, rng.Intn(len(words)); i < n; i++ {
-			out[words[rng.Intn(len(words))]] = true
-		}
-		return out
-	}
-	for i := 0; i < 300; i++ {
-		a, b := mk(), mk()
-		want := jaccardStringsRef(a, b)
-		if got := JaccardStrings(a, b); got != want {
-			t.Fatalf("JaccardStrings(%v, %v) = %v, reference = %v", a, b, got, want)
-		}
-		// The sorted-slice form must agree with the map form on the same sets.
-		sa, sb := sortedStringSet(a), sortedStringSet(b)
-		if got := JaccardSortedStrings(sa, sb); got != want {
-			t.Fatalf("JaccardSortedStrings(%v, %v) = %v, reference = %v", sa, sb, got, want)
-		}
-	}
-	if JaccardSortedStrings(nil, nil) != 1 {
-		t.Fatal("two empty slices must have similarity 1")
-	}
-}
-
-func sortedStringSet(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for v := range m {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func TestJaccardUint16ZeroAllocs(t *testing.T) {

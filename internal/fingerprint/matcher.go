@@ -151,17 +151,6 @@ func (m *Matcher) MatchExact(f Fingerprint) (LibraryEntry, bool) {
 	return best, ok
 }
 
-// MatchExactInterned is MatchExact for a fingerprint already interned
-// on this matcher's Arena (see Arena): a single comparable-map hit.
-func (m *Matcher) MatchExactInterned(f Interned) (LibraryEntry, bool) {
-	best, ok := m.byInternedBest[f]
-	return best, ok
-}
-
-// Arena exposes the matcher's intern arena so callers can pre-intern
-// fingerprints once and query with MatchExactInterned in hot loops.
-func (m *Matcher) Arena() *intern.Arena { return m.arena }
-
 // SemanticsMatch is the result of the semantics-aware matcher: the best
 // category achieved across the corpus and the closest library under that
 // category (ties broken by ciphersuite Jaccard similarity, then version).

@@ -1,10 +1,12 @@
 package labdata
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/probe"
 	"repro/internal/simnet"
 )
 
@@ -13,7 +15,8 @@ func fixtures(t testing.TB) (*simnet.World, *dataset.Dataset, *analysis.Server) 
 	ds := dataset.Generate(dataset.Config{Seed: 77, Scale: 0.3})
 	snis := ds.SNIsByMinUsers(2)
 	w := simnet.Build(simnet.Config{Seed: 3, SNIs: snis})
-	srv := analysis.NewServer(w, ds, snis, false)
+	results, stats := probe.New(probe.WorldProber{World: w}, probe.Options{}).Run(context.Background(), snis, simnet.Vantages())
+	srv := analysis.NewServerFromProbes(w, ds, snis, simnet.Vantages(), results, stats)
 	return w, ds, srv
 }
 

@@ -123,12 +123,12 @@ func collectWants(t *testing.T, pkg *Package) map[wantKey][]*wantEntry {
 func runFixture(t *testing.T, a *Analyzer, rel string) {
 	t.Helper()
 	pkg := loadFixture(t, rel)
-	diags, err := Check([]*Package{pkg}, []*Analyzer{a})
+	rep, err := CheckFull([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
-		t.Fatalf("Check: %v", err)
+		t.Fatalf("CheckFull: %v", err)
 	}
 	wants := collectWants(t, pkg)
-	for _, d := range diags {
+	for _, d := range rep.Unsuppressed() {
 		k := wantKey{d.Pos.Filename, d.Pos.Line}
 		found := false
 		for _, w := range wants[k] {

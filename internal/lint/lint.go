@@ -269,20 +269,11 @@ func sortDiagnostics(diags []Diagnostic) {
 	})
 }
 
-// Check runs analyzers over pkgs and returns the unsuppressed
-// diagnostics, sorted. Malformed //lint:allow annotations are reported
-// as diagnostics of the pseudo-analyzer "lintallow".
-func Check(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	rep, err := CheckFull(pkgs, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Unsuppressed(), nil
-}
-
 // CheckFull runs analyzers over pkgs and returns the full Report:
 // every diagnostic with suppressed ones flagged in place, plus the
 // stale //lint:allow annotations that no longer cover anything.
+// Malformed //lint:allow annotations are reported as diagnostics of the
+// pseudo-analyzer "lintallow".
 func CheckFull(pkgs []*Package, analyzers []*Analyzer) (Report, error) {
 	validNames := map[string]bool{}
 	for _, a := range analyzers {

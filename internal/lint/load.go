@@ -51,7 +51,8 @@ type Loader struct {
 
 // TypeChecks returns how many module-local packages this loader has
 // type-checked from source. Cache hits do not count, so the counter
-// going flat across two CheckDirs calls proves the memoization works.
+// going flat across two CheckDirsFull calls proves the memoization
+// works.
 func (l *Loader) TypeChecks() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -313,7 +314,7 @@ func (m moduleImporter) Import(path string) (*types.Package, error) {
 }
 
 // sharedLoaders memoizes one Loader per module root for the life of
-// the process, so repeated CheckDirs calls (the self-check test, the
+// the process, so repeated CheckDirsFull calls (the self-check test, the
 // warm half of BenchmarkIotlintSelf, editor integrations that lint on
 // save) type-check each package — and the standard library behind it —
 // exactly once. The cache never observes source edits made after the
@@ -343,21 +344,12 @@ func SharedLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// CheckDirs is the one-call entry used by cmd/iotlint and the
+// CheckDirsFull is the one-call entry used by cmd/iotlint and the
 // self-check test: load every package matching patterns under the
-// module containing root and run the analyzers over them. The loader
-// is shared process-wide, so back-to-back calls reuse every
-// type-checked package.
-func CheckDirs(root string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, error) {
-	rep, err := CheckDirsFull(root, patterns, analyzers)
-	if err != nil {
-		return nil, err
-	}
-	return rep.Unsuppressed(), nil
-}
-
-// CheckDirsFull is CheckDirs returning the full Report, including
-// suppressed diagnostics and stale //lint:allow annotations.
+// module containing root, run the analyzers over them, and return the
+// full Report, including suppressed diagnostics and stale //lint:allow
+// annotations. The loader is shared process-wide, so back-to-back calls
+// reuse every type-checked package.
 func CheckDirsFull(root string, patterns []string, analyzers []*Analyzer) (Report, error) {
 	l, err := SharedLoader(root)
 	if err != nil {

@@ -40,7 +40,7 @@ func TestSelfCheck(t *testing.T) {
 	}
 }
 
-// TestSharedLoaderMemoizes pins the cross-call cache: CheckDirs used to
+// TestSharedLoaderMemoizes pins the cross-call cache: CheckDirsFull used to
 // build a fresh loader per call, re-type-checking every shared
 // dependency (and the standard library behind it) from source each
 // time. Two runs over the same package must cost exactly one set of
@@ -54,18 +54,18 @@ func TestSharedLoaderMemoizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CheckDirs(root, []string{"internal/intern"}, Suite()); err != nil {
-		t.Fatalf("first CheckDirs: %v", err)
+	if _, err := CheckDirsFull(root, []string{"internal/intern"}, Suite()); err != nil {
+		t.Fatalf("first CheckDirsFull: %v", err)
 	}
 	warm := l.TypeChecks()
 	if warm == 0 {
 		t.Fatal("loader reported zero type-checks after a full load")
 	}
-	if _, err := CheckDirs(root, []string{"internal/intern"}, Suite()); err != nil {
-		t.Fatalf("second CheckDirs: %v", err)
+	if _, err := CheckDirsFull(root, []string{"internal/intern"}, Suite()); err != nil {
+		t.Fatalf("second CheckDirsFull: %v", err)
 	}
 	if got := l.TypeChecks(); got != warm {
-		t.Fatalf("second CheckDirs type-checked %d package(s); want a pure cache hit", got-warm)
+		t.Fatalf("second CheckDirsFull type-checked %d package(s); want a pure cache hit", got-warm)
 	}
 	again, err := SharedLoader(root)
 	if err != nil {

@@ -17,7 +17,3 @@ func NewStopwatch() Stopwatch { return Stopwatch{start: time.Now()} }
 // Seconds returns the wall-clock seconds elapsed since the stopwatch
 // started.
 func (s Stopwatch) Seconds() float64 { return time.Since(s.start).Seconds() }
-
-// Elapsed returns the wall-clock time elapsed since the stopwatch
-// started.
-func (s Stopwatch) Elapsed() time.Duration { return time.Since(s.start) }

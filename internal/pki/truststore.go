@@ -13,24 +13,19 @@ type TrustStore struct {
 	Name string
 
 	roots []*x509.Certificate
-	pool  *x509.CertPool
 	orgs  map[string]bool
 }
 
 // NewTrustStore creates an empty store.
 func NewTrustStore(name string) *TrustStore {
-	return &TrustStore{Name: name, pool: x509.NewCertPool(), orgs: map[string]bool{}}
+	return &TrustStore{Name: name, orgs: map[string]bool{}}
 }
 
 // AddRoot registers a CA's root in the program.
 func (ts *TrustStore) AddRoot(ca *CA) {
 	ts.roots = append(ts.roots, ca.Root.Cert)
-	ts.pool.AddCert(ca.Root.Cert)
 	ts.orgs[ca.Org] = true
 }
-
-// Pool returns the root pool for x509 verification.
-func (ts *TrustStore) Pool() *x509.CertPool { return ts.pool }
 
 // Len returns the number of roots in the program.
 func (ts *TrustStore) Len() int { return len(ts.roots) }

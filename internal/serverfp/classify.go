@@ -144,11 +144,6 @@ func expect(st *simnet.ServerStack, bp probe.BatteryProbe) Observation {
 	return o
 }
 
-// Labels returns the stack names the classifier can emit, sorted.
-func (c *Classifier) Labels() []string {
-	return append([]string(nil), c.labels...)
-}
-
 // score counts matching components between an observation and an
 // expectation. Failed observations are skipped by the caller.
 func score(got, want Observation) int {

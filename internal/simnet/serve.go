@@ -7,8 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/pki"
@@ -83,28 +81,34 @@ func newEvidenceHello() *tlswire.ClientHello {
 	return ch
 }
 
-// Probe performs a genuine crypto/tls handshake with the server behind
-// the SNI, as seen from the vantage, and returns the certificate chain
-// the server presented. This is the collection path of Section 5.1.
-func (w *World) Probe(sni string, vantage Vantage) (pki.Chain, error) {
-	n, err := w.ProbeContext(context.Background(), sni, vantage)
-	return n.Chain, err
+// reach resolves the SNI to its server through the checks every probe
+// path shares: an unknown host, an unreachable host, then the installed
+// fault schedule (SetFaults).
+func (w *World) reach(ctx context.Context, sni string, vantage Vantage) (*Server, error) {
+	srv, ok := w.Servers[sni]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrUnknownHost, sni)
+	}
+	if srv.Unreachable {
+		return nil, fmt.Errorf("%w: %s", ErrUnreachable, sni)
+	}
+	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+		return nil, err
+	}
+	return srv, nil
 }
 
-// ProbeContext is Probe with cancellation: the context deadline bounds
-// the handshake (defaultHandshakeTimeout when absent), and the installed
-// fault schedule (SetFaults) runs before the handshake. The negotiation
+// ProbeContext performs a genuine crypto/tls handshake with the server
+// behind the SNI, as seen from the vantage, and returns the certificate
+// chain the server presented. This is the collection path of Section
+// 5.1. The context deadline bounds the handshake
+// (defaultHandshakeTimeout when absent), and the installed fault
+// schedule (SetFaults) runs before the handshake. The negotiation
 // evidence (version, cipher) comes from the genuine crypto/tls
 // connection state.
 func (w *World) ProbeContext(ctx context.Context, sni string, vantage Vantage) (Negotiation, error) {
-	srv, ok := w.Servers[sni]
-	if !ok {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnknownHost, sni)
-	}
-	if srv.Unreachable {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
-	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	srv, err := w.reach(ctx, sni, vantage)
+	if err != nil {
 		return Negotiation{}, err
 	}
 	chain := srv.ChainAt(vantage)
@@ -182,27 +186,16 @@ func (s *Server) LeafAt(v Vantage) pki.Certificate {
 	return s.Leaf
 }
 
-// ProbeFast returns the chain without a TLS handshake — byte-identical to
-// what Probe captures, for analysis at scale and benchmarks.
-func (w *World) ProbeFast(sni string, vantage Vantage) (pki.Chain, error) {
-	n, err := w.ProbeFastContext(context.Background(), sni, vantage)
-	return n.Chain, err
-}
-
-// ProbeFastContext is ProbeFast with cancellation and fault injection, so
-// the resilient engine exercises identical retry paths on both probe
-// modes. Negotiation evidence comes from the server's stack model
-// answering the canonical evidence hello (which every modeled stack
-// accepts, so the chain is always carried alongside).
+// ProbeFastContext returns the chain without a TLS handshake —
+// byte-identical to what ProbeContext captures, for analysis at scale —
+// after the same host, reachability and fault checks, so the resilient
+// engine exercises identical retry paths on both probe modes.
+// Negotiation evidence comes from the server's stack model answering
+// the canonical evidence hello (which every modeled stack accepts, so
+// the chain is always carried alongside).
 func (w *World) ProbeFastContext(ctx context.Context, sni string, vantage Vantage) (Negotiation, error) {
-	srv, ok := w.Servers[sni]
-	if !ok {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnknownHost, sni)
-	}
-	if srv.Unreachable {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
-	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	srv, err := w.reach(ctx, sni, vantage)
+	if err != nil {
 		return Negotiation{}, err
 	}
 	n := Negotiation{Chain: srv.ChainAt(vantage)}
@@ -217,21 +210,15 @@ func (w *World) ProbeFastContext(ctx context.Context, sni string, vantage Vantag
 }
 
 // NegotiateFast answers an arbitrary crafted ClientHello with the
-// server stack model's response, after the same host/reachability/fault
-// gauntlet as ProbeFastContext. The response round-trips through the
-// tlswire marshal/parse path, so every battery probe also exercises the
-// ServerHello wire format. This is the active-fingerprinting probe
+// server stack model's response, after the same host, reachability and
+// fault checks as ProbeFastContext. The response round-trips through
+// the tlswire marshal/parse path, so every battery probe also exercises
+// the ServerHello wire format. This is the active-fingerprinting probe
 // primitive; a refusal alert returns with a nil error and an empty
 // chain.
 func (w *World) NegotiateFast(ctx context.Context, sni string, vantage Vantage, hello *tlswire.ClientHello) (Negotiation, error) {
-	srv, ok := w.Servers[sni]
-	if !ok {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnknownHost, sni)
-	}
-	if srv.Unreachable {
-		return Negotiation{}, fmt.Errorf("%w: %s", ErrUnreachable, sni)
-	}
-	if err := w.faults.inject(ctx, sni, vantage); err != nil {
+	srv, err := w.reach(ctx, sni, vantage)
+	if err != nil {
 		return Negotiation{}, err
 	}
 	if srv.Stack == nil {
@@ -267,55 +254,4 @@ func (w *World) NegotiateFast(ctx context.Context, sni string, vantage Vantage, 
 		}
 	}
 	return n, nil
-}
-
-// ProbeResult is one (SNI, vantage) capture.
-type ProbeResult struct {
-	SNI     string
-	Vantage Vantage
-	Chain   pki.Chain
-	Err     error
-}
-
-// ProbeAll captures every SNI from every vantage concurrently with
-// GOMAXPROCS workers. When realTLS is true every capture is a full
-// crypto/tls handshake.
-func (w *World) ProbeAll(snis []string, vantages []Vantage, realTLS bool) []ProbeResult {
-	return w.ProbeAllWorkers(snis, vantages, realTLS, 0)
-}
-
-// ProbeAllWorkers is ProbeAll with an explicit worker count (<= 0 means
-// runtime.GOMAXPROCS). Results are returned in deterministic (SNI,
-// vantage) order: results[i*len(vantages)+j] is snis[i] at vantages[j],
-// independent of worker interleaving.
-func (w *World) ProbeAllWorkers(snis []string, vantages []Vantage, realTLS bool, workers int) []ProbeResult {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	results := make([]ProbeResult, len(snis)*len(vantages))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range jobs {
-				sni, v := snis[idx/len(vantages)], vantages[idx%len(vantages)]
-				var chain pki.Chain
-				var err error
-				if realTLS {
-					chain, err = w.Probe(sni, v)
-				} else {
-					chain, err = w.ProbeFast(sni, v)
-				}
-				results[idx] = ProbeResult{SNI: sni, Vantage: v, Chain: chain, Err: err}
-			}
-		}()
-	}
-	for i := range results {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	return results
 }

@@ -2,7 +2,9 @@ package simnet
 
 import (
 	"bytes"
+	"context"
 	"errors"
+	"sort"
 	"testing"
 
 	"repro/internal/dataset"
@@ -81,6 +83,7 @@ func TestVendorPrivateCAs(t *testing.T) {
 
 func TestRealTLSProbeMatchesFast(t *testing.T) {
 	w := smallWorld(t)
+	ctx := context.Background()
 	n := 0
 	for sni, srv := range w.Servers {
 		if srv.Unreachable {
@@ -89,19 +92,19 @@ func TestRealTLSProbeMatchesFast(t *testing.T) {
 		if n++; n > 25 {
 			break
 		}
-		real, err := w.Probe(sni, VantageNewYork)
+		real, err := w.ProbeContext(ctx, sni, VantageNewYork)
 		if err != nil {
 			t.Fatalf("probe %s: %v", sni, err)
 		}
-		fast, err := w.ProbeFast(sni, VantageNewYork)
+		fast, err := w.ProbeFastContext(ctx, sni, VantageNewYork)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(real.Certs) != len(fast.Certs) {
-			t.Fatalf("%s: chain lengths differ (%d vs %d)", sni, len(real.Certs), len(fast.Certs))
+		if len(real.Chain.Certs) != len(fast.Chain.Certs) {
+			t.Fatalf("%s: chain lengths differ (%d vs %d)", sni, len(real.Chain.Certs), len(fast.Chain.Certs))
 		}
-		for i := range real.Certs {
-			if !bytes.Equal(real.Certs[i].Raw, fast.Certs[i].Raw) {
+		for i := range real.Chain.Certs {
+			if !bytes.Equal(real.Chain.Certs[i].Raw, fast.Chain.Certs[i].Raw) {
 				t.Fatalf("%s: cert %d differs between real TLS and fast path", sni, i)
 			}
 		}
@@ -111,20 +114,61 @@ func TestRealTLSProbeMatchesFast(t *testing.T) {
 	}
 }
 
+// TestProbeErrors runs every World probe path against an unknown host,
+// an unreachable host and a host whose every attempt hits an injected
+// connection reset. The paths share one set of checks, so each case
+// fails with the same error on each path — and in that order: a fault
+// schedule never masks an unknown or unreachable host.
 func TestProbeErrors(t *testing.T) {
 	w := smallWorld(t)
-	if _, err := w.Probe("no-such-host.invalid", VantageNewYork); !errors.Is(err, ErrUnknownHost) {
-		t.Fatalf("unknown host: %v", err)
-	}
+	var reachable []string
 	for sni, srv := range w.Servers {
-		if srv.Unreachable {
-			if _, err := w.Probe(sni, VantageNewYork); !errors.Is(err, ErrUnreachable) {
-				t.Fatalf("unreachable %s: %v", sni, err)
-			}
-			return
+		if !srv.Unreachable {
+			reachable = append(reachable, sni)
 		}
 	}
-	t.Log("note: no unreachable servers in this scaled world")
+	if len(reachable) < 2 {
+		t.Fatalf("need two reachable servers, world has %d", len(reachable))
+	}
+	sort.Strings(reachable)
+	faulty, unreachable := reachable[0], reachable[1]
+	w.Servers[unreachable].Unreachable = true
+	w.SetFaults(Faults{Seed: 1, TransientRate: 1, ResetFraction: 1})
+
+	paths := []struct {
+		name  string
+		probe func(ctx context.Context, sni string) error
+	}{
+		{"ProbeContext", func(ctx context.Context, sni string) error {
+			_, err := w.ProbeContext(ctx, sni, VantageNewYork)
+			return err
+		}},
+		{"ProbeFastContext", func(ctx context.Context, sni string) error {
+			_, err := w.ProbeFastContext(ctx, sni, VantageNewYork)
+			return err
+		}},
+		{"NegotiateFast", func(ctx context.Context, sni string) error {
+			_, err := w.NegotiateFast(ctx, sni, VantageNewYork, newEvidenceHello())
+			return err
+		}},
+	}
+	cases := []struct {
+		name, sni string
+		want      error
+	}{
+		{"unknown", "no-such-host.invalid", ErrUnknownHost},
+		{"unreachable", unreachable, ErrUnreachable},
+		{"fault", faulty, ErrConnReset},
+	}
+	for _, c := range cases {
+		for _, p := range paths {
+			t.Run(c.name+"/"+p.name, func(t *testing.T) {
+				if err := p.probe(context.Background(), c.sni); !errors.Is(err, c.want) {
+					t.Fatalf("%s(%s) = %v, want %v", p.name, c.sni, err, c.want)
+				}
+			})
+		}
+	}
 }
 
 func TestExpiredDomains(t *testing.T) {
@@ -176,20 +220,21 @@ func TestPrivateValidityLong(t *testing.T) {
 func TestCDNVantageVariation(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 99, Scale: 0.5})
 	w := Build(Config{Seed: 1, SNIs: ds.SNIsByMinUsers(2)})
+	ctx := context.Background()
 	varied := 0
 	for sni, srv := range w.Servers {
 		if srv.Unreachable || srv.VantageChains == nil {
 			continue
 		}
-		ny, err := w.ProbeFast(sni, VantageNewYork)
+		ny, err := w.ProbeFastContext(ctx, sni, VantageNewYork)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fra, err := w.ProbeFast(sni, VantageFrankfurt)
+		fra, err := w.ProbeFastContext(ctx, sni, VantageFrankfurt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(ny.Certs[0].Raw, fra.Certs[0].Raw) {
+		if !bytes.Equal(ny.Chain.Certs[0].Raw, fra.Chain.Certs[0].Raw) {
 			varied++
 		}
 	}
@@ -200,16 +245,17 @@ func TestCDNVantageVariation(t *testing.T) {
 
 func TestValidatorClassifiesWorld(t *testing.T) {
 	w := smallWorld(t)
+	ctx := context.Background()
 	counts := map[pki.ChainStatus]int{}
 	for sni, srv := range w.Servers {
 		if srv.Unreachable {
 			continue
 		}
-		chain, err := w.ProbeFast(sni, VantageNewYork)
+		n, err := w.ProbeFastContext(ctx, sni, VantageNewYork)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := w.Validator.Validate(chain, sni, w.ProbeTime)
+		res := w.Validator.Validate(n.Chain, sni, w.ProbeTime)
 		counts[res.Status]++
 	}
 	if counts[pki.StatusValid] == 0 {
@@ -231,10 +277,11 @@ func BenchmarkRealProbe(b *testing.B) {
 			break
 		}
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.Probe(sni, VantageNewYork); err != nil {
+		if _, err := w.ProbeContext(ctx, sni, VantageNewYork); err != nil {
 			b.Fatal(err)
 		}
 	}

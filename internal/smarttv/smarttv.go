@@ -6,6 +6,7 @@
 package smarttv
 
 import (
+	"context"
 	"sort"
 	"strings"
 
@@ -73,10 +74,11 @@ func Run(w *simnet.World) *Study {
 		default:
 			continue
 		}
-		chain, err := w.ProbeFast(sni, simnet.VantageNewYork)
+		n, err := w.ProbeFastContext(context.TODO(), sni, simnet.VantageNewYork)
 		if err != nil {
 			continue
 		}
+		chain := n.Chain
 		res := w.Validator.Validate(chain, sni, w.ProbeTime)
 		leaf := chain.Leaf()
 		st.Observations = append(st.Observations, Observation{
