@@ -3,7 +3,10 @@ package analysis
 import (
 	"bytes"
 	"crypto/x509"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ctlog"
@@ -40,7 +43,6 @@ type CertRecord struct {
 // Server is the server-side analysis state (Section 5).
 type Server struct {
 	World *simnet.World
-	DS    *dataset.Dataset
 	// Vantages is the probing locations the collection run used, in
 	// order; the first entry is the primary vantage whose chains become
 	// Records (the paper probed from New York, Frankfurt, and Singapore
@@ -60,43 +62,37 @@ type Server struct {
 }
 
 // NewServerFromProbes assembles the Section 5 certificate dataset from an
-// already-completed probe run: chain validation, CT lookups, and the
-// visitation index. Splitting collection from validation lets the
-// stage-based pipeline of internal/core trace and cancel the two halves
-// independently. vantages is the location set the run probed, primary
-// first (nil or empty: the paper's three with New York primary).
+// already-completed probe run: the chain validation and CT lookups of
+// ValidateProbes, then the visitation index scanned from ds's records,
+// attached through AttachVisitors. vantages is the location set the run
+// probed, primary first (nil or empty: the paper's three with New York
+// primary). The stage-based pipeline of internal/core runs the two
+// halves as separate stages and attaches from the client state instead
+// of rescanning the records.
 func NewServerFromProbes(w *simnet.World, ds *dataset.Dataset, snis []string, vantages []simnet.Vantage, results []probe.Result, stats probe.Stats) *Server {
+	s := ValidateProbes(w, snis, vantages, results, stats, 0)
+	s.AttachVisitors(visitIndex(ds))
+	return s
+}
+
+// ValidateProbes folds a completed probe run into a Server and
+// validates every primary-vantage chain, spreading the SNIs across
+// workers (<= 0: GOMAXPROCS). The validator's trust cache verifies each
+// distinct chain once whatever the worker count, and Records come back
+// in SNI order, so the result is identical for any worker count. Every
+// record's Devices and Vendors are empty until AttachVisitors fills
+// them in.
+func ValidateProbes(w *simnet.World, snis []string, vantages []simnet.Vantage, results []probe.Result, stats probe.Stats, workers int) *Server {
 	if len(vantages) == 0 {
 		vantages = simnet.Vantages()
 	}
 	s := &Server{
 		World:      w,
-		DS:         ds,
 		Vantages:   vantages,
 		ByVantage:  map[simnet.Vantage]map[string][]byte{},
 		ProbedSNIs: snis,
+		ProbeStats: stats,
 	}
-	// Visitation index from the ClientHello dataset, walked in column
-	// form: records without an SNI are skipped on a symbol compare
-	// without materializing a row.
-	visitDevices := map[string]map[string]bool{}
-	visitVendors := map[string]map[string]bool{}
-	tab := ds.Records.Table()
-	for i := 0; i < ds.Records.Len(); i++ {
-		sniSym := ds.Records.SNISym(i)
-		if sniSym == 0 {
-			continue
-		}
-		sni := tab.Str(sniSym)
-		if visitDevices[sni] == nil {
-			visitDevices[sni] = map[string]bool{}
-			visitVendors[sni] = map[string]bool{}
-		}
-		visitDevices[sni][tab.Str(ds.Records.DeviceSym(i))] = true
-		visitVendors[sni][tab.Str(ds.Records.VendorSym(i))] = true
-	}
-
-	s.ProbeStats = stats
 	chains := map[simnet.Vantage]map[string]pki.Chain{}
 	for _, v := range vantages {
 		chains[v] = map[string]pki.Chain{}
@@ -127,40 +123,109 @@ func NewServerFromProbes(w *simnet.World, ds *dataset.Dataset, snis []string, va
 		ordered = append(ordered, sni)
 	}
 	sort.Strings(ordered)
-	for _, sni := range ordered {
-		chain := primary[sni]
-		leaf := chain.Leaf()
-		if leaf == nil {
-			continue
+	recs := make([]*CertRecord, len(ordered))
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(ordered)))
+	// Workers claim SNIs in order from a shared counter rather than
+	// taking contiguous shards: a cache miss costs a chain verification
+	// and a hit almost nothing, so fixed shards would leave workers idle.
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < len(ordered); i = int(next.Add(1) - 1) {
+				recs[i] = newCertRecord(w, ordered[i], primary[ordered[i]])
+			}
+		}()
+	}
+	wg.Wait()
+	for _, rec := range recs {
+		if rec != nil {
+			s.Records = append(s.Records, rec)
 		}
-		res := w.Validator.Validate(chain, sni, w.ProbeTime)
-		issuerOrg := pki.IssuerOrg(leaf)
-		rec := &CertRecord{
-			SNI:          sni,
-			SLD:          simnet.SLDOf(sni),
-			Chain:        chain,
-			Leaf:         leaf,
-			LeafFP:       ctlog.CertFingerprint(leaf),
-			IssuerOrg:    issuerOrg,
-			IssuerPublic: w.Stores.ContainsOrg(issuerOrg),
-			Status:       res.Status,
-			ValidityDays: int(leaf.NotAfter.Sub(leaf.NotBefore).Hours() / 24),
-			InCT:         w.Log.Contains(leaf),
-			Devices:      visitDevices[sni],
-			Vendors:      visitVendors[sni],
-		}
-		if srv := w.Servers[sni]; srv != nil {
-			rec.IPs = srv.IPs
-		}
-		if rec.Devices == nil {
-			rec.Devices = map[string]bool{}
-		}
-		if rec.Vendors == nil {
-			rec.Vendors = map[string]bool{}
-		}
-		s.Records = append(s.Records, rec)
 	}
 	return s
+}
+
+// newCertRecord validates one primary-vantage chain. It returns nil for
+// a chain without a leaf.
+func newCertRecord(w *simnet.World, sni string, chain pki.Chain) *CertRecord {
+	leaf := chain.Leaf()
+	if leaf == nil {
+		return nil
+	}
+	res := w.Validator.Validate(chain, sni, w.ProbeTime)
+	issuerOrg := pki.IssuerOrg(leaf)
+	rec := &CertRecord{
+		SNI:          sni,
+		SLD:          simnet.SLDOf(sni),
+		Chain:        chain,
+		Leaf:         leaf,
+		LeafFP:       ctlog.CertFingerprint(leaf),
+		IssuerOrg:    issuerOrg,
+		IssuerPublic: w.Stores.ContainsOrg(issuerOrg),
+		Status:       res.Status,
+		ValidityDays: int(leaf.NotAfter.Sub(leaf.NotBefore).Hours() / 24),
+		InCT:         w.Log.Contains(leaf),
+	}
+	if srv := w.Servers[sni]; srv != nil {
+		rec.IPs = srv.IPs
+	}
+	return rec
+}
+
+// AttachVisitors joins the passive view to the active one: every
+// record's Devices become the devices that visited its SNI in the
+// ClientHello dataset, and its Vendors those devices' vendors.
+// sniDevices and deviceVendor have the shape of Client.SNIDevices and
+// Client.DeviceVendor, so a study attaches straight from its ingested
+// client state. A record whose SNI no device visited gets empty sets.
+func (s *Server) AttachVisitors(sniDevices map[string]StringSet, deviceVendor map[string]string) {
+	for _, rec := range s.Records {
+		devs := sniDevices[rec.SNI]
+		rec.Devices = make(map[string]bool, len(devs))
+		rec.Vendors = map[string]bool{}
+		for _, d := range devs {
+			rec.Devices[d] = true
+			rec.Vendors[deviceVendor[d]] = true
+		}
+	}
+}
+
+// visitIndex builds, for callers without an ingested Client, the index
+// Client.SNIDevices and Client.DeviceVendor hold: the devices that
+// visited each SNI, scanned from ds's records, and each device's vendor.
+// Records are walked in column form, so a record without an SNI is
+// skipped on a symbol compare without materializing a row.
+func visitIndex(ds *dataset.Dataset) (map[string]StringSet, map[string]string) {
+	recs := ds.Records
+	tab := recs.Table()
+	seen := map[sniEdge]struct{}{}
+	sniDevices := map[string]StringSet{}
+	for i := 0; i < recs.Len(); i++ {
+		e := sniEdge{sni: recs.SNISym(i), dev: recs.DeviceSym(i)}
+		if e.sni == 0 {
+			continue
+		}
+		if _, ok := seen[e]; ok {
+			continue
+		}
+		seen[e] = struct{}{}
+		sni := tab.Str(e.sni)
+		sniDevices[sni] = append(sniDevices[sni], tab.Str(e.dev))
+	}
+	for _, devs := range sniDevices {
+		sort.Strings(devs)
+	}
+	deviceVendor := make(map[string]string, len(ds.Devices))
+	for _, d := range ds.Devices {
+		deviceVendor[d.ID] = d.Vendor
+	}
+	return sniDevices, deviceVendor
 }
 
 // Table6 is the certificate dataset summary.

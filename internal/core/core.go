@@ -1,7 +1,8 @@
 // Package core orchestrates the full study as a stage-based pipeline:
 // generate (or ingest) the crowdsourced ClientHello dataset, run the
 // client-side TLS analyses of Section 4, extract the SNI set, build and
-// probe the server world of Section 5, validate the collected chains, and
+// probe the server world of Section 5, validate the collected chains,
+// join each certificate to the devices that visited its server, and
 // render every table and figure. It is the library's primary entry point;
 // cmd/iotls and the examples are thin wrappers.
 //

@@ -40,7 +40,7 @@ func TestSpanTreeShapeDeterministic(t *testing.T) {
 		spanShape(tr.Root(), 0, &shape)
 		if want == nil {
 			want = shape
-			// The fixed pipeline: root, core.Run, then the seven stages in
+			// The fixed pipeline: root, core.Run, then the eight stages in
 			// definition order.
 			expect := []string{"0:test", "1:core.Run"}
 			for _, s := range Stages() {

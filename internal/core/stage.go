@@ -23,6 +23,9 @@ const (
 	StageWorld    = "world-build"
 	StageProbe    = "probe"
 	StageValidate = "chain-validate"
+	// StageJoin attaches to every certificate record the devices and
+	// vendors that visited its SNI, read from the ingested client state.
+	StageJoin = "visitor-join"
 	// StageServerFP is the optional active-fingerprinting stage; Run
 	// appends it after StageProbe when Config.ServerFP is set, so
 	// Stages() itself (and every stage-count invariant built on it)
@@ -69,9 +72,11 @@ func (r *StageRecorder) Count(key string, v int64) {
 
 // Stages returns the study pipeline as a fresh stage slice in definition
 // order: dataset generation, library-corpus construction, client
-// ingestion, SNI filtering, world building, probing, and chain
-// validation. Callers may inspect, reorder, or extend the slice before
-// handing it to RunStages; Run uses it as-is.
+// ingestion, SNI filtering, world building, probing, chain validation,
+// and the visitor join. The server branch (sni-filter → world-build →
+// probe → chain-validate) and client ingestion meet only at the join,
+// so neither waits for the other. Callers may inspect, reorder, or
+// extend the slice before handing it to RunStages; Run uses it as-is.
 func Stages() []Stage {
 	return []Stage{
 		{Name: StageDataset, Run: runDatasetStage},
@@ -80,7 +85,8 @@ func Stages() []Stage {
 		{Name: StageSNIs, After: []string{StageDataset}, Run: runSNIStage},
 		{Name: StageWorld, After: []string{StageSNIs}, Run: runWorldStage},
 		{Name: StageProbe, After: []string{StageWorld}, Run: runProbeStage},
-		{Name: StageValidate, After: []string{StageProbe, StageIngest}, Run: runValidateStage},
+		{Name: StageValidate, After: []string{StageProbe}, Run: runValidateStage},
+		{Name: StageJoin, After: []string{StageValidate, StageIngest}, Run: runJoinStage},
 	}
 }
 
@@ -98,7 +104,7 @@ func runDatasetStage(_ context.Context, st *Study, rec *StageRecorder) error {
 
 func runCorpusStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	st.Matcher = libcorpus.NewMatcherAsOf(st.Config.AsOf)
-	rec.Count("entries", int64(len(st.Matcher.Entries())))
+	rec.Count("entries", int64(st.Matcher.CorpusSize()))
 	return nil
 }
 
@@ -172,10 +178,17 @@ func runServerFPStage(ctx context.Context, st *Study, rec *StageRecorder) error 
 }
 
 func runValidateStage(_ context.Context, st *Study, rec *StageRecorder) error {
-	st.Server = analysis.NewServerFromProbes(st.World, st.Dataset, st.SNIs, st.Config.vantages(), st.probeResults, st.probeStats)
+	cfg := st.Config
+	st.Server = analysis.ValidateProbes(st.World, st.SNIs, cfg.vantages(), st.probeResults, st.probeStats, cfg.workers())
 	st.probeResults = nil // the engine output is folded into Server
 	rec.Count("records", int64(len(st.Server.Records)))
 	rec.Count("unreachable", int64(len(st.Server.UnreachableSNIs)))
+	return nil
+}
+
+func runJoinStage(_ context.Context, st *Study, rec *StageRecorder) error {
+	st.Server.AttachVisitors(st.Client.SNIDevices, st.Client.DeviceVendor)
+	rec.Count("records", int64(len(st.Server.Records)))
 	return nil
 }
 

@@ -10,10 +10,10 @@ import (
 // Columns is the interned, columnar storage behind Dataset.Records:
 // one parallel slice per field, identity strings replaced by stable
 // intern.Symbols from one shared table, and every record's wire bytes
-// packed into a single contiguous buffer addressed by (offset, length)
-// spans. A million records cost eleven slice headers instead of a
-// million Record structs, and equality checks on identities become
-// integer compares.
+// packed into a few large chunks addressed by (offset, length) spans.
+// A million records cost a dozen slice headers instead of a million
+// Record structs, and equality checks on identities become integer
+// compares.
 //
 // Columns is append-only from the caller's perspective; the row-shaped
 // Record remains the compatibility view and is materialized on demand
@@ -31,15 +31,59 @@ type columns struct {
 	timeNS []int64
 	rawOff []uint32
 	rawLen []uint32
-	rawBuf []byte
+	// raw holds the wire bytes in chunks that are never reallocated.
+	// Each record is written whole into the last chunk, or into a fresh
+	// one when it does not fit, so growth copies nothing; one contiguous
+	// buffer grown by append copied itself on every growth and left
+	// several times its final size as garbage. Chunks double from
+	// minRawChunk up to rawChunkSize, so a small batch stays small. A
+	// record's rawOff holds its chunk index above rawChunkBits and its
+	// offset inside the chunk below them.
+	raw [][]byte
 }
+
+// Raw-byte chunk sizes: at most one record's length is wasted at the
+// end of each chunk.
+const (
+	minRawChunk  = 4 << 10
+	rawChunkBits = 20
+	rawChunkSize = 1 << rawChunkBits
+)
 
 func newColumns() *columns {
 	return &columns{tab: intern.NewTable()}
 }
 
+// rawAppend reserves n bytes of wire bytes for one record and returns
+// the record's rawOff with the reserved bytes for the caller to fill.
+// A record longer than a chunk gets a chunk of its own length.
+func (c *columns) rawAppend(n int) (uint32, []byte) {
+	k := len(c.raw) - 1
+	if k < 0 || cap(c.raw[k])-len(c.raw[k]) < n {
+		size := minRawChunk
+		if k >= 0 {
+			size = min(2*cap(c.raw[k]), rawChunkSize)
+		}
+		k = len(c.raw)
+		if k >= 1<<(32-rawChunkBits) {
+			panic("dataset: too many raw wire-byte chunks")
+		}
+		c.raw = append(c.raw, make([]byte, 0, max(n, size)))
+	}
+	start := len(c.raw[k])
+	c.raw[k] = c.raw[k][:start+n]
+	return uint32(k<<rawChunkBits | start), c.raw[k][start : start+n : start+n]
+}
+
+// rawSpan resolves a record's (rawOff, rawLen) span to a
+// capacity-clamped view of its wire bytes.
+func (c *columns) rawSpan(off, n uint32) []byte {
+	chunk, start := c.raw[off>>rawChunkBits], off&(rawChunkSize-1)
+	return chunk[start : start+n : start+n]
+}
+
 // appendSyms appends one record given already-interned symbols and an
-// already-written rawBuf span.
+// already-written raw span.
 func (c *columns) appendSyms(dev, ven, mod, typ, user, sni, stack intern.Symbol, timeNS int64, off, n uint32) {
 	c.device = append(c.device, dev)
 	c.vendor = append(c.vendor, ven)
@@ -56,8 +100,8 @@ func (c *columns) appendSyms(dev, ven, mod, typ, user, sni, stack intern.Symbol,
 // appendRow interns one row-shaped Record and copies its wire bytes
 // into the shared buffer.
 func (c *columns) appendRow(r Record) {
-	off := uint32(len(c.rawBuf))
-	c.rawBuf = append(c.rawBuf, r.Raw...)
+	off, buf := c.rawAppend(len(r.Raw))
+	copy(buf, r.Raw)
 	c.appendSyms(
 		c.tab.Intern(r.DeviceID),
 		c.tab.Intern(r.Vendor),
@@ -135,12 +179,11 @@ func (rs Records) Table() *intern.Table { return rs.c.tab }
 
 // At materializes record i as a row-shaped Record. Identity strings
 // are the interned instances and Raw is a capacity-clamped view into
-// the shared buffer — materializing is cheap, but callers must not
+// the shared chunk — materializing is cheap, but callers must not
 // modify Raw in place.
 func (rs Records) At(i int) Record {
 	c := rs.c
 	j := rs.lo + i
-	off, n := c.rawOff[j], c.rawLen[j]
 	return Record{
 		DeviceID: c.tab.Str(c.device[j]),
 		Vendor:   c.tab.Str(c.vendor[j]),
@@ -150,7 +193,7 @@ func (rs Records) At(i int) Record {
 		Time:     time.Unix(0, c.timeNS[j]).UTC(),
 		SNI:      c.tab.Str(c.sni[j]),
 		StackID:  c.tab.Str(c.stack[j]),
-		Raw:      c.rawBuf[off : off+n : off+n],
+		Raw:      c.rawSpan(c.rawOff[j], c.rawLen[j]),
 	}
 }
 
@@ -195,8 +238,7 @@ func (rs Records) TimeNS(i int) int64 { return rs.c.timeNS[rs.lo+i] }
 // Raw returns a read-only view of record i's wire bytes.
 func (rs Records) Raw(i int) []byte {
 	c := rs.c
-	off, n := c.rawOff[rs.lo+i], c.rawLen[rs.lo+i]
-	return c.rawBuf[off : off+n : off+n]
+	return c.rawSpan(c.rawOff[rs.lo+i], c.rawLen[rs.lo+i])
 }
 
 // SNIs returns the distinct SNIs observed, sorted.

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/fingerprint"
@@ -464,8 +465,8 @@ type tmplKey struct {
 	stack, sni intern.Symbol
 }
 
-// stampHello appends the marshaled hello for (stack, SNI) to the shared
-// raw buffer, serializing the record once per distinct pair and
+// stampHello appends the marshaled hello for (stack, SNI) to the raw
+// chunks, serializing the record once per distinct pair and
 // patching only the client random per record. Records sharing a stack
 // and SNI differ in nothing else, so the template bytes are reusable;
 // the rng is consumed exactly as buildHello consumes it (one 32-byte
@@ -477,9 +478,9 @@ func stampHello(cache map[tmplKey][]byte, key tmplKey, print fingerprint.Fingerp
 		tmpl = buildHelloTemplate(print, sni)
 		cache[key] = tmpl
 	}
-	off = uint32(len(cols.rawBuf))
-	cols.rawBuf = append(cols.rawBuf, tmpl...)
-	rng.Read(cols.rawBuf[off+helloRandomOff : off+helloRandomOff+32])
+	off, buf := cols.rawAppend(len(tmpl))
+	copy(buf, tmpl)
+	rng.Read(buf[helloRandomOff : helloRandomOff+32])
 	return off, uint32(len(tmpl)), hit
 }
 
@@ -585,7 +586,8 @@ func modelNames(v VendorProfile) []string {
 
 // exactLibraryEntries picks the corpus entries used verbatim by the
 // exact-match device population: mostly curl+OpenSSL, a couple Mbed TLS.
-func exactLibraryEntries() []fingerprint.LibraryEntry {
+// The pick is built once per process; the slice is read-only.
+var exactLibraryEntries = sync.OnceValue(func() []fingerprint.LibraryEntry {
 	var out []fingerprint.LibraryEntry
 	curl := libcorpus.CurlOpenSSL()
 	for i := 0; i < len(curl) && len(out) < 14; i += len(curl)/14 + 1 {
@@ -594,7 +596,7 @@ func exactLibraryEntries() []fingerprint.LibraryEntry {
 	mbed := libcorpus.MbedTLS()
 	out = append(out, mbed[40], mbed[100])
 	return out
-}
+})
 
 // Models returns the number of distinct models in the population.
 func (ds *Dataset) Models() int {

@@ -164,11 +164,10 @@ func (ds *Dataset) applyFirmwareDrift(cfg Config) {
 			t = buildHelloTemplate13(entry.Print, tab.Str(cols.sni[i]))
 			tmpl[key] = t
 		}
-		var random [32]byte
-		copy(random[:], cols.rawBuf[cols.rawOff[i]+helloRandomOff:])
-		off := uint32(len(cols.rawBuf))
-		cols.rawBuf = append(cols.rawBuf, t...)
-		copy(cols.rawBuf[off+helloRandomOff:], random[:])
+		random := cols.rawSpan(cols.rawOff[i], cols.rawLen[i])[helloRandomOff : helloRandomOff+32]
+		off, buf := cols.rawAppend(len(t))
+		copy(buf, t)
+		copy(buf[helloRandomOff:], random)
 		cols.rawOff[i] = off
 		cols.rawLen[i] = uint32(len(t))
 		cols.stack[i] = newSym

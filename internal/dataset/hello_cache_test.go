@@ -32,7 +32,7 @@ func TestStampHelloMatchesDirect(t *testing.T) {
 				want := buildHello(p, sni, rngA)
 				key := tmplKey{stack: cols.tab.Intern(stackID), sni: cols.tab.Intern(sni)}
 				off, n, hit := stampHello(cache, key, p, sni, cols, rngB)
-				got := cols.rawBuf[off : off+n]
+				got := cols.rawSpan(off, n)
 				if wantHit := round > 0; hit != wantHit {
 					t.Fatalf("round %d print %d sni %q: cache hit = %v, want %v", round, i, sni, hit, wantHit)
 				}

@@ -3,6 +3,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"repro/internal/ciphersuite"
 	"repro/internal/fingerprint"
@@ -27,7 +28,15 @@ type Stack struct {
 
 // basePool returns library prints for a security profile era. All pool
 // prints propose at most TLS 1.2 — the paper observed no TLS 1.3 at all.
+// The pools are built once per process and shared: callers index into
+// them and deep-copy (mutatePrint, awfulPrint, clonePrint) before
+// changing a print, so the returned slice and its prints are read-only.
 func basePool(profile SecurityProfile) []fingerprint.Fingerprint {
+	return basePools()[profile]
+}
+
+// basePools builds every profile's pool from one pass over the corpus.
+var basePools = sync.OnceValue(func() [ProfileLegacy + 1][]fingerprint.Fingerprint {
 	find := func(entries []fingerprint.LibraryEntry, version string) fingerprint.Fingerprint {
 		for _, e := range entries {
 			if e.Version == version {
@@ -37,34 +46,36 @@ func basePool(profile SecurityProfile) []fingerprint.Fingerprint {
 		panic("dataset: missing corpus version " + version)
 	}
 	ossl, wolf, mbed := libcorpus.OpenSSL(), libcorpus.WolfSSL(), libcorpus.MbedTLS()
-	switch profile {
-	case ProfileLegacy:
-		return []fingerprint.Fingerprint{
-			find(ossl, "1.0.0q"),
-			find(ossl, "1.0.1h"),
-			find(mbed, "1.1.4"),
-			find(mbed, "1.2.5"),
-			find(wolf, "2.5.0"),
-			find(wolf, "3.4.0"),
-		}
-	case ProfileMixed:
-		return []fingerprint.Fingerprint{
-			find(ossl, "1.0.1u"),
-			find(ossl, "1.0.2"),
-			find(ossl, "1.0.2f"),
-			find(ossl, "1.0.2m"),
-			find(mbed, "1.3.16"),
-			find(mbed, "2.1.10"),
-			find(wolf, "3.10.3"),
-		}
-	default: // ProfileModern
-		return []fingerprint.Fingerprint{
-			find(ossl, "1.1.0l"),
-			find(mbed, "2.16.4"),
-			find(wolf, "3.15.3-stable"),
-		}
+	var pools [ProfileLegacy + 1][]fingerprint.Fingerprint
+	pools[ProfileLegacy] = []fingerprint.Fingerprint{
+		find(ossl, "1.0.0q"),
+		find(ossl, "1.0.1h"),
+		find(mbed, "1.1.4"),
+		find(mbed, "1.2.5"),
+		find(wolf, "2.5.0"),
+		find(wolf, "3.4.0"),
 	}
-}
+	pools[ProfileMixed] = []fingerprint.Fingerprint{
+		find(ossl, "1.0.1u"),
+		find(ossl, "1.0.2"),
+		find(ossl, "1.0.2f"),
+		find(ossl, "1.0.2m"),
+		find(mbed, "1.3.16"),
+		find(mbed, "2.1.10"),
+		find(wolf, "3.10.3"),
+	}
+	pools[ProfileModern] = []fingerprint.Fingerprint{
+		find(ossl, "1.1.0l"),
+		find(mbed, "2.16.4"),
+		find(wolf, "3.15.3-stable"),
+	}
+	return pools
+})
+
+// registeredSuites is the codepoint-sorted suite registry mutatePrint
+// splices foreign suites from, built once: ciphersuite.All collects,
+// sorts and copies the whole registry on every call. Read-only.
+var registeredSuites = sync.OnceValue(ciphersuite.All)
 
 // clonePrint deep-copies a fingerprint.
 func clonePrint(f fingerprint.Fingerprint) fingerprint.Fingerprint {
@@ -110,7 +121,7 @@ func mutatePrint(f fingerprint.Fingerprint, rng *rand.Rand) fingerprint.Fingerpr
 	// Splice in foreign suites a third of the time (side-loaded crypto
 	// configs), which usually breaks component-set equality entirely.
 	if rng.Intn(3) == 0 {
-		all := ciphersuite.All()
+		all := registeredSuites()
 		for k := 0; k < 1+rng.Intn(2); k++ {
 			s := all[rng.Intn(len(all))]
 			if s.IsSCSV() || indexOf(out.CipherSuites, s.ID) >= 0 {

@@ -2,6 +2,7 @@ package fingerprint
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -201,6 +202,31 @@ func TestMatcherExact(t *testing.T) {
 	probe.Extensions = []uint16{0, 10}
 	if _, ok := m.MatchExact(probe); ok {
 		t.Fatal("different extensions must not match exactly")
+	}
+}
+
+// TestMatcherEntriesSortedFreshSlice: Entries sorts the corpus by family
+// then version once per matcher and hands every caller its own top-level
+// slice, so one caller reordering its copy cannot change the next.
+func TestMatcherEntriesSortedFreshSlice(t *testing.T) {
+	corpus := corpusForTest()
+	slices.Reverse(corpus)
+	m := NewMatcher(corpus)
+	want := []string{"OpenSSL 1.0.2f", "OpenSSL 1.0.2u", "OpenSSL 1.1.1i", "wolfSSL 3.15.3"}
+	names := func(entries []LibraryEntry) []string {
+		var out []string
+		for _, e := range entries {
+			out = append(out, e.Name())
+		}
+		return out
+	}
+	first := m.Entries()
+	if got := names(first); !slices.Equal(got, want) {
+		t.Fatalf("Entries() = %v, want %v", got, want)
+	}
+	slices.Reverse(first)
+	if got := names(m.Entries()); !slices.Equal(got, want) {
+		t.Fatalf("after reordering one result, Entries() = %v, want %v", got, want)
 	}
 }
 

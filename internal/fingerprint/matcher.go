@@ -33,15 +33,14 @@ func (e LibraryEntry) Name() string { return e.Family + " " + e.Version }
 // is guarded by a lock, so one Matcher can be shared by every table of a
 // study rendered in parallel.
 type Matcher struct {
+	// entries is the corpus sorted by family then version (Entries
+	// order), sorted once at build time.
 	entries []LibraryEntry
-	byKey   map[string][]int // fingerprint key -> entry indices
-	// byKeyBest resolves the highest-version entry per fingerprint key at
-	// build time, so MatchExact is a single map hit instead of a version
-	// scan per call.
-	byKeyBest map[string]LibraryEntry
-	// arena/byInternedBest are the symbol-keyed fast path: MatchExact
-	// interns the query's suite and extension lists (alloc-free once
-	// warm) and hits a comparable-struct map instead of building the
+	// byInternedBest resolves the highest-version entry per distinct
+	// fingerprint at build time, so MatchExact is a single map hit
+	// instead of a version scan per call. It is keyed by the print
+	// interned into arena: MatchExact interns the query's suite and
+	// extension lists (alloc-free once warm) instead of building the
 	// 2-alloc Key() string per call. Interned identity and Key()
 	// identity partition fingerprints identically — both encode the
 	// exact (version, suites, extensions) tuple.
@@ -73,21 +72,16 @@ type suiteGroup struct {
 // NewMatcher builds a matcher over the given corpus.
 func NewMatcher(entries []LibraryEntry) *Matcher {
 	m := &Matcher{
-		entries:        entries,
-		byKey:          make(map[string][]int, len(entries)),
-		byKeyBest:      make(map[string]LibraryEntry, len(entries)),
 		arena:          intern.NewArena(),
 		byInternedBest: make(map[Interned]LibraryEntry, len(entries)),
 		byOrderedKey:   map[string]*suiteGroup{},
 		bySortedKey:    map[string][]*suiteGroup{},
 		semMemo:        map[string]SemanticsMatch{},
 	}
-	for i, e := range entries {
-		k := e.Print.Key()
-		m.byKey[k] = append(m.byKey[k], i)
-		if best, ok := m.byKeyBest[k]; !ok || versionLess(best.Version, e.Version) {
-			m.byKeyBest[k] = e
-			m.byInternedBest[e.Print.Intern(m.arena)] = e
+	for _, e := range entries {
+		in := e.Print.Intern(m.arena)
+		if best, ok := m.byInternedBest[in]; !ok || versionLess(best.Version, e.Version) {
+			m.byInternedBest[in] = e
 		}
 
 		okey := suiteListKey(e.Print.CipherSuites)
@@ -107,6 +101,16 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 			g.best = e
 		}
 	}
+	// The indices above are built in input order, which settles version
+	// ties; the matcher keeps the corpus in Entries order instead, so
+	// the sort runs once per matcher and Entries only copies.
+	m.entries = append([]LibraryEntry(nil), entries...)
+	sort.Slice(m.entries, func(i, j int) bool {
+		if m.entries[i].Family != m.entries[j].Family {
+			return m.entries[i].Family < m.entries[j].Family
+		}
+		return versionLess(m.entries[i].Version, m.entries[j].Version)
+	})
 	return m
 }
 
@@ -139,7 +143,7 @@ func (m *Matcher) CorpusSize() int { return len(m.entries) }
 
 // DistinctFingerprints returns how many distinct fingerprints the corpus
 // contains (consecutive library versions often share a fingerprint).
-func (m *Matcher) DistinctFingerprints() int { return len(m.byKey) }
+func (m *Matcher) DistinctFingerprints() int { return len(m.byInternedBest) }
 
 // MatchExact returns the known library matching the fingerprint exactly on
 // the 3-tuple, if any. When several versions share the fingerprint, the
@@ -232,16 +236,10 @@ func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 	return best
 }
 
-// Entries returns the corpus sorted by family then version.
+// Entries returns the corpus sorted by family then version, as a fresh
+// top-level slice the caller may reorder or append to.
 func (m *Matcher) Entries() []LibraryEntry {
-	out := append([]LibraryEntry(nil), m.entries...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Family != out[j].Family {
-			return out[i].Family < out[j].Family
-		}
-		return versionLess(out[i].Version, out[j].Version)
-	})
-	return out
+	return append([]LibraryEntry(nil), m.entries...)
 }
 
 // versionLess compares dotted version strings numerically where possible,

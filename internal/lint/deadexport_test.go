@@ -47,7 +47,6 @@ var deadExportKeep = map[string]string{
 	"internal/ciphersuite.LookupName":                   "name-to-codepoint lookup the registry and Appendix A tables are checked with",
 	"internal/dataset.Records.TimeNS":                   "columnar timestamp the row round-trip tests compare",
 	"internal/fingerprint.Fingerprint.Hash":             "stable digest whose format the fingerprint tests pin",
-	"internal/fingerprint.Matcher.CorpusSize":           "corpus size the library-corpus tests assert",
 	"internal/fingerprint.Matcher.DistinctFingerprints": "distinct corpus prints the library-corpus tests assert",
 	"internal/graph.Bipartite.AddLeft":                  "builds isolated left nodes in graph tests",
 	"internal/graph.Bipartite.HasEdge":                  "edge membership the graph tests assert",

@@ -19,7 +19,8 @@ import (
 // Validate is safe for concurrent use. The chain-construction verdict
 // (the ECDSA-heavy part) is cached per distinct (chain bytes, time), so
 // certificates shared across many FQDNs — the dominant pattern in the
-// probed world — pay for signature verification once.
+// probed world — pay for signature verification once, even when their
+// FQDNs are validated concurrently.
 type Validator struct {
 	stores *StoreSet
 	// knownIntermediates is the out-of-band intermediate pool (the study
@@ -28,7 +29,7 @@ type Validator struct {
 	hasIntermediates   bool
 
 	trustMu    sync.Mutex
-	trustCache map[[sha256.Size]byte]ChainStatus
+	trustCache map[[sha256.Size]byte]*trustEntry
 
 	// Pre-resolved metric handles (nil when uninstrumented; every method
 	// on a nil handle no-ops).
@@ -60,8 +61,19 @@ func NewValidator(stores *StoreSet) *Validator {
 	return &Validator{
 		stores:             stores,
 		knownIntermediates: x509.NewCertPool(),
-		trustCache:         map[[sha256.Size]byte]ChainStatus{},
+		trustCache:         map[[sha256.Size]byte]*trustEntry{},
 	}
+}
+
+// trustEntry is one trust-cache slot. The first caller for a key puts
+// the entry in the cache before verifying and computes the verdict
+// inside once; a concurrent caller for the same key finds the entry
+// and blocks in once.Do until the verdict is set. So each distinct
+// chain is verified exactly once and counts one miss, and the hit and
+// miss counters do not depend on how many callers run at once.
+type trustEntry struct {
+	once   sync.Once
+	status ChainStatus
 }
 
 // AddKnownIntermediate registers an intermediate certificate available out
@@ -71,7 +83,7 @@ func (v *Validator) AddKnownIntermediate(cert *x509.Certificate) {
 	v.knownIntermediates.AddCert(cert)
 	v.hasIntermediates = true
 	v.trustMu.Lock()
-	v.trustCache = map[[sha256.Size]byte]ChainStatus{}
+	v.trustCache = map[[sha256.Size]byte]*trustEntry{}
 	v.trustMu.Unlock()
 }
 
@@ -124,19 +136,23 @@ func (v *Validator) Validate(chain Chain, sni string, now time.Time) Result {
 	// presenting the same chain.
 	key := trustCacheKey(chain, now)
 	v.trustMu.Lock()
-	status, ok := v.trustCache[key]
-	v.trustMu.Unlock()
-	if ok {
-		res.Status = status
-		v.mCacheHits.Inc()
-		v.mVerdicts[res.Status].Inc()
-		return res
+	e := v.trustCache[key]
+	if e == nil {
+		e = &trustEntry{}
+		v.trustCache[key] = e
 	}
-	res.Status = v.trustStatus(chain, leaf, res.RootInStores, now)
-	v.trustMu.Lock()
-	v.trustCache[key] = res.Status
 	v.trustMu.Unlock()
-	v.mCacheMisses.Inc()
+	miss := false
+	e.once.Do(func() {
+		e.status = v.trustStatus(chain, leaf, res.RootInStores, now)
+		miss = true
+	})
+	res.Status = e.status
+	if miss {
+		v.mCacheMisses.Inc()
+	} else {
+		v.mCacheHits.Inc()
+	}
 	v.mVerdicts[res.Status].Inc()
 	return res
 }
