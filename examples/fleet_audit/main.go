@@ -36,8 +36,8 @@ func main() {
 
 	// Fleet inventory.
 	devices := 0
-	for _, vendorName := range client.DeviceVendor {
-		if vendorName == *vendor {
+	for _, dev := range client.Devices() {
+		if client.DeviceVendor(dev) == *vendor {
 			devices++
 		}
 	}
@@ -49,19 +49,18 @@ func main() {
 		level ciphersuite.SecurityLevel
 	}
 	var fleet []fpView
-	for _, info := range client.Prints {
-		if info.Vendors.Has(*vendor) {
+	for _, key := range client.FingerprintKeys() {
+		if info := client.Fingerprint(key); info.Vendors.Has(*vendor) {
 			fleet = append(fleet, fpView{info, info.Print.Level()})
 		}
 	}
-	sort.Slice(fleet, func(i, j int) bool { return fleet[i].info.Key < fleet[j].info.Key })
 	byLevel := map[ciphersuite.SecurityLevel]int{}
 	singleDevice := 0
 	for _, f := range fleet {
 		byLevel[f.level]++
 		n := 0
 		for _, dev := range f.info.Devices {
-			if client.DeviceVendor[dev] == *vendor {
+			if client.DeviceVendor(dev) == *vendor {
 				n++
 			}
 		}

@@ -383,7 +383,7 @@ func TestGraphExports(t *testing.T) {
 	dot := g.Dot(graph.DotOptions{
 		Name: "figure1",
 		RightColor: func(key string) string {
-			switch c.Prints[key].Print.Level() {
+			switch c.Fingerprint(key).Print.Level() {
 			case ciphersuite.Vulnerable:
 				return "#d62728"
 			case ciphersuite.Suboptimal:

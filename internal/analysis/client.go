@@ -37,24 +37,33 @@ type FingerprintInfo struct {
 	SNIs StringSet
 	// Records is the number of ClientHellos carrying it.
 	Records int
+	// gen is the generation of the Client that may write this info in
+	// place; any other Client copies it first (see Client.merge).
+	gen uint64
 }
 
 // Client is the client-side analysis state, built by parsing every
-// record's wire bytes.
+// record's wire bytes. Its indexes are copy-on-write maps read through
+// accessors, so Clone is O(1) in the state and a clone stays immutable
+// while the original keeps merging (see cowMap).
 type Client struct {
 	DS *dataset.Dataset
-	// Prints indexes fingerprints by key.
-	Prints map[string]*FingerprintInfo
-	// DevicePrints maps device -> set of fingerprint keys.
-	DevicePrints map[string]StringSet
-	// DeviceVendor and DeviceType index device metadata.
-	DeviceVendor map[string]string
-	DeviceType   map[string]string
-	// VersionCounts tallies proposals per TLS version (Table 12).
-	VersionCounts map[tlswire.Version]int
-	// SNIDevices maps each SNI to the devices that visited it.
-	SNIDevices map[string]StringSet
-	// orderedKeys caches sorted fingerprint keys.
+	// gen is the generation this Client writes under: it writes a shard
+	// or a FingerprintInfo in place only if that carries gen too.
+	gen uint64
+	// prints indexes fingerprints by key.
+	prints cowMap[string, *FingerprintInfo]
+	// devicePrints maps device -> set of fingerprint keys.
+	devicePrints cowMap[string, StringSet]
+	// deviceVendor and deviceType index device metadata.
+	deviceVendor cowMap[string, string]
+	deviceType   cowMap[string, string]
+	// versionCounts tallies proposals per TLS version (Table 12).
+	versionCounts cowMap[tlswire.Version, int]
+	// sniDevices maps each SNI to the devices that visited it.
+	sniDevices cowMap[string, StringSet]
+	// orderedKeys caches sorted fingerprint keys. It is replaced, never
+	// modified, so a clone may share it.
 	orderedKeys []string
 }
 
@@ -63,21 +72,163 @@ type Client struct {
 // client-side table derives from the merged observations alone.
 func NewClientEmpty() *Client {
 	return &Client{
-		Prints:        map[string]*FingerprintInfo{},
-		DevicePrints:  map[string]StringSet{},
-		DeviceVendor:  map[string]string{},
-		DeviceType:    map[string]string{},
-		VersionCounts: map[tlswire.Version]int{},
-		SNIDevices:    map[string]StringSet{},
+		gen:           nextGen(),
+		prints:        cowMap[string, *FingerprintInfo]{hash: hashString},
+		devicePrints:  cowMap[string, StringSet]{hash: hashString},
+		deviceVendor:  cowMap[string, string]{hash: hashString},
+		deviceType:    cowMap[string, string]{hash: hashString},
+		versionCounts: cowMap[tlswire.Version, int]{hash: hashVersion},
+		sniDevices:    cowMap[string, StringSet]{hash: hashString},
 	}
 }
 
-func (c *Client) rebuildOrderedKeys() {
-	c.orderedKeys = c.orderedKeys[:0]
-	for k := range c.Prints {
-		c.orderedKeys = append(c.orderedKeys, k)
+// Fingerprint returns the aggregate of the fingerprint with the given
+// key, or nil if no record carried it.
+func (c *Client) Fingerprint(key string) *FingerprintInfo {
+	info, _ := c.prints.get(key)
+	return info
+}
+
+// FingerprintKeys returns every fingerprint key in sorted order. The
+// slice is shared with the Client and must not be modified.
+func (c *Client) FingerprintKeys() []string { return c.orderedKeys }
+
+// DevicePrints returns the keys of the fingerprints a device exhibited.
+func (c *Client) DevicePrints(dev string) StringSet {
+	keys, _ := c.devicePrints.get(dev)
+	return keys
+}
+
+// DeviceVendor returns a device's vendor ("" for an unknown device).
+func (c *Client) DeviceVendor(dev string) string {
+	v, _ := c.deviceVendor.get(dev)
+	return v
+}
+
+// DeviceType returns a device's type ("" for an unknown device).
+func (c *Client) DeviceType(dev string) string {
+	t, _ := c.deviceType.get(dev)
+	return t
+}
+
+// SNIDevices returns the devices that visited sni.
+func (c *Client) SNIDevices(sni string) StringSet {
+	devs, _ := c.sniDevices.get(sni)
+	return devs
+}
+
+// Devices returns every known device ID in sorted order.
+func (c *Client) Devices() []string { return sortedKeys(&c.deviceVendor) }
+
+// SNIs returns every SNI some device visited, in sorted order.
+func (c *Client) SNIs() []string { return sortedKeys(&c.sniDevices) }
+
+func sortedKeys[V any](m *cowMap[string, V]) []string {
+	out := make([]string, 0, m.len())
+	m.each(func(k string, _ V) { out = append(out, k) })
+	sort.Strings(out)
+	return out
+}
+
+// aggregate is one ingest's result in string form: the unit that
+// NewClientWorkers (the whole dataset) and MergeDelta (one batch) fold
+// into a Client through the same merge.
+type aggregate struct {
+	prints       []*FingerprintInfo
+	devicePrints []keyedSet
+	sniDevices   []keyedSet
+	versions     map[tlswire.Version]int
+}
+
+// keyedSet is one device's fingerprint keys or one SNI's devices.
+type keyedSet struct {
+	key string
+	set StringSet
+}
+
+// merge folds an aggregate into c; it is the only path that grows a
+// Client's observations. Writes go through the copy-on-write maps and
+// are skipped when they change nothing: a union that adds no member
+// keeps the stored set, so re-merging known records copies no device or
+// SNI shard. A known FingerprintInfo is copied before its first write
+// under c's generation; a new one is adopted, which moves it out of the
+// aggregate. New keys are merged into a fresh orderedKeys slice, so a
+// clone sharing the old one never sees it change.
+func (c *Client) merge(a *aggregate) {
+	var added []string
+	for _, part := range a.prints {
+		info := c.Fingerprint(part.Key)
+		if info == nil {
+			part.gen = c.gen
+			c.prints.set(c.gen, part.Key, part)
+			added = append(added, part.Key)
+			continue
+		}
+		if info.gen != c.gen {
+			cp := *info
+			cp.gen = c.gen
+			info = &cp
+			c.prints.set(c.gen, info.Key, info)
+		}
+		info.Devices = unionSets(info.Devices, part.Devices)
+		info.Vendors = unionSets(info.Vendors, part.Vendors)
+		info.Types = unionSets(info.Types, part.Types)
+		info.SNIs = unionSets(info.SNIs, part.SNIs)
+		info.Records += part.Records
 	}
-	sort.Strings(c.orderedKeys)
+	for _, e := range a.devicePrints {
+		c.unionInto(&c.devicePrints, e)
+	}
+	for _, e := range a.sniDevices {
+		c.unionInto(&c.sniDevices, e)
+	}
+	for v, n := range a.versions {
+		old, _ := c.versionCounts.get(v)
+		c.versionCounts.set(c.gen, v, old+n)
+	}
+	if len(added) > 0 {
+		sort.Strings(added)
+		c.orderedKeys = mergeSorted(c.orderedKeys, added)
+	}
+}
+
+// unionInto unions e.set into m's set for e.key, writing only when the
+// union adds a member. unionSets returns the stored set itself when it
+// adds nothing, so an unchanged length means an unchanged set.
+func (c *Client) unionInto(m *cowMap[string, StringSet], e keyedSet) {
+	old, _ := m.get(e.key)
+	if u := unionSets(old, e.set); len(u) != len(old) {
+		m.set(c.gen, e.key, u)
+	}
+}
+
+// setDevice records a device's vendor and type, writing only the values
+// that change.
+func (c *Client) setDevice(id, vendor, typ string) {
+	if old, ok := c.deviceVendor.get(id); !ok || old != vendor {
+		c.deviceVendor.set(c.gen, id, vendor)
+	}
+	if old, ok := c.deviceType.get(id); !ok || old != typ {
+		c.deviceType.set(c.gen, id, typ)
+	}
+}
+
+// mergeSorted returns the sorted union of two disjoint sorted key lists
+// in a fresh slice.
+func mergeSorted(a, b []string) []string {
+	out := make([]string, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		if a[i] < b[j] {
+			out = append(out, a[i])
+			i++
+		} else {
+			out = append(out, b[j])
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }
 
 // parseKey memoizes parsing per (stack, SNI-presence) pair, in symbol
@@ -237,8 +388,7 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
-		c.DeviceVendor[d.ID] = d.Vendor
-		c.DeviceType[d.ID] = d.Type
+		c.setDevice(d.ID, d.Vendor, d.Type)
 	}
 
 	cx := newIngestCtx(ds.Records.Table())
@@ -277,8 +427,8 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 	for i := range shards {
 		agg.mergeFrom(&shards[i])
 	}
-	agg.finalize(c)
-	c.rebuildOrderedKeys()
+	a := agg.finalize()
+	c.merge(&a)
 
 	if m != nil {
 		var hits, misses, records int64
@@ -291,7 +441,7 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 		m.Counter("ingest_memo_hits_total").Add(hits)
 		m.Counter("ingest_memo_misses_total").Add(misses)
 		m.Counter("ingest_parses_total").Add(cx.parses)
-		m.Counter("ingest_fingerprints_total").Add(int64(len(c.Prints)))
+		m.Counter("ingest_fingerprints_total").Add(int64(c.NumFingerprints()))
 		m.Histogram("ingest_seconds", obs.DurationBuckets).Observe(sw.Seconds())
 	}
 	return c, nil
@@ -363,12 +513,16 @@ func (s *clientShard) mergeFrom(o *clientShard) {
 	}
 }
 
-// finalize converts the merged symbol-space aggregate into the
-// exported string-keyed Client state: edges become sorted StringSets,
-// symbols resolve through the intern table (no new string is
-// allocated — the sets share the interned instances).
-func (s *clientShard) finalize(c *Client) {
+// finalize converts the merged symbol-space aggregate into string
+// form: edges become sorted StringSets, and symbols resolve through the
+// intern table (no new string is allocated — the sets share the
+// interned instances).
+func (s *clientShard) finalize() aggregate {
 	cx := s.ctx
+	a := aggregate{
+		prints:   make([]*FingerprintInfo, 0, len(s.printRecords)),
+		versions: s.versionCounts,
+	}
 	infos := make([]FingerprintInfo, len(cx.prints))
 	infoByIdx := make([]*FingerprintInfo, len(cx.prints))
 	for idx, n := range s.printRecords {
@@ -378,7 +532,7 @@ func (s *clientShard) finalize(c *Client) {
 		info.Key = pm.key
 		info.Records = n
 		infoByIdx[idx] = info
-		c.Prints[pm.key] = info
+		a.prints = append(a.prints, info)
 	}
 	// Each edge set becomes a sub-slice carved out of one shared backing
 	// array per category: count first, then hand every print a
@@ -408,69 +562,69 @@ func (s *clientShard) finalize(c *Client) {
 	fillSets(s.printVendors, func(i *FingerprintInfo) *StringSet { return &i.Vendors })
 	fillSets(s.printTypes, func(i *FingerprintInfo) *StringSet { return &i.Types })
 	fillSets(s.printSNIs, func(i *FingerprintInfo) *StringSet { return &i.SNIs })
-
-	// DevicePrints and SNIDevices get the same treatment, keyed by
-	// symbol until the final map assignment.
-	devCounts := make(map[intern.Symbol]int)
-	for e := range s.printDevices {
-		devCounts[e.sym]++
-	}
-	devBacking := make([]string, len(s.printDevices))
-	off := 0
-	for sym, n := range devCounts {
-		c.DevicePrints[cx.tab.Str(sym)] = devBacking[off : off : off+n]
-		off += n
-	}
-	for e := range s.printDevices {
-		dev := cx.tab.Str(e.sym)
-		c.DevicePrints[dev] = append(c.DevicePrints[dev], infoByIdx[e.p].Key)
-	}
-
-	sniCounts := make(map[intern.Symbol]int)
-	for e := range s.sniDevices {
-		sniCounts[e.sni]++
-	}
-	sniBacking := make([]string, len(s.sniDevices))
-	off = 0
-	for sym, n := range sniCounts {
-		c.SNIDevices[cx.tab.Str(sym)] = sniBacking[off : off : off+n]
-		off += n
-	}
-	for e := range s.sniDevices {
-		sni := cx.tab.Str(e.sni)
-		c.SNIDevices[sni] = append(c.SNIDevices[sni], cx.tab.Str(e.dev))
-	}
-
-	for _, info := range infoByIdx {
-		if info == nil {
-			continue
-		}
+	for _, info := range a.prints {
 		sort.Strings(info.Devices)
 		sort.Strings(info.Vendors)
 		sort.Strings(info.Types)
 		sort.Strings(info.SNIs)
 	}
-	for _, keys := range c.DevicePrints {
-		sort.Strings(keys)
+
+	a.devicePrints = cx.groupSets(len(s.printDevices), func(add func(owner intern.Symbol, member string)) {
+		for e := range s.printDevices {
+			add(e.sym, infoByIdx[e.p].Key)
+		}
+	})
+	a.sniDevices = cx.groupSets(len(s.sniDevices), func(add func(owner intern.Symbol, member string)) {
+		for e := range s.sniDevices {
+			add(e.sni, cx.tab.Str(e.dev))
+		}
+	})
+	return a
+}
+
+// groupSets groups n (owner, member) pairs, which pairs yields twice in
+// any order, into one sorted set per owner. The sets are carved out of
+// one backing array, like fillSets', and owners stay symbols until each
+// set's key is resolved once.
+func (cx *ingestCtx) groupSets(n int, pairs func(add func(owner intern.Symbol, member string))) []keyedSet {
+	slot := map[intern.Symbol]int{}
+	var counts []int
+	pairs(func(owner intern.Symbol, _ string) {
+		i, ok := slot[owner]
+		if !ok {
+			i = len(counts)
+			slot[owner] = i
+			counts = append(counts, 0)
+		}
+		counts[i]++
+	})
+	out := make([]keyedSet, len(counts))
+	backing := make([]string, n)
+	off := 0
+	for owner, i := range slot {
+		out[i] = keyedSet{key: cx.tab.Str(owner), set: backing[off : off : off+counts[i]]}
+		off += counts[i]
 	}
-	for _, devs := range c.SNIDevices {
-		sort.Strings(devs)
+	pairs(func(owner intern.Symbol, member string) {
+		e := &out[slot[owner]]
+		e.set = append(e.set, member)
+	})
+	for _, e := range out {
+		sort.Strings(e.set)
 	}
-	for v, n := range s.versionCounts {
-		c.VersionCounts[v] += n
-	}
+	return out
 }
 
 // NumFingerprints returns the number of distinct fingerprints (the
 // paper's 903).
-func (c *Client) NumFingerprints() int { return len(c.Prints) }
+func (c *Client) NumFingerprints() int { return c.prints.len() }
 
 // VendorGraph builds the Figure 1 bipartite graph: vendors on the left,
 // fingerprints on the right.
 func (c *Client) VendorGraph() *graph.Bipartite {
 	g := graph.New()
 	for _, key := range c.orderedKeys {
-		for _, vendor := range c.Prints[key].Vendors {
+		for _, vendor := range c.Fingerprint(key).Vendors {
 			g.AddEdge(vendor, key)
 		}
 	}
@@ -482,13 +636,13 @@ func (c *Client) VendorGraph() *graph.Bipartite {
 func (c *Client) TypeGraphForVendor(vendor string) *graph.Bipartite {
 	g := graph.New()
 	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		if !info.Vendors.Has(vendor) {
 			continue
 		}
 		for _, dev := range info.Devices {
-			if c.DeviceVendor[dev] == vendor {
-				g.AddEdge(c.DeviceType[dev], key)
+			if c.DeviceVendor(dev) == vendor {
+				g.AddEdge(c.DeviceType(dev), key)
 			}
 		}
 	}
@@ -499,14 +653,14 @@ func (c *Client) TypeGraphForVendor(vendor string) *graph.Bipartite {
 // (Amazon Echo in the paper = Amazon speakers here).
 func (c *Client) DeviceGraphForVendorType(vendor, typ string) *graph.Bipartite {
 	g := graph.New()
-	for dev, prints := range c.DevicePrints {
-		if c.DeviceVendor[dev] != vendor || c.DeviceType[dev] != typ {
-			continue
+	c.devicePrints.each(func(dev string, prints StringSet) {
+		if c.DeviceVendor(dev) != vendor || c.DeviceType(dev) != typ {
+			return
 		}
 		for _, key := range prints {
 			g.AddEdge(dev, key)
 		}
-	}
+	})
 	return g
 }
 
@@ -521,7 +675,7 @@ func (c *Client) DoCVendorAll() map[string]float64 {
 }
 
 // DoCDeviceAll returns DoC_device (the mean per-device DoC within each
-// vendor; Figure 2, blue line). Every vendor of DeviceVendor is a key; one
+// vendor; Figure 2, blue line). Every vendor of a known device is a key; one
 // without a printed device maps to 0.
 func (c *Client) DoCDeviceAll() map[string]float64 {
 	sums := map[string]float64{}
@@ -558,7 +712,7 @@ type deviceDoC struct {
 	doc        float64
 }
 
-// deviceDoCs computes, in one pass over DevicePrints, the DoC of every
+// deviceDoCs computes, in one pass over devicePrints, the DoC of every
 // device whose vendor keep accepts: the fraction of the device's
 // fingerprints that no other device of its vendor uses (graph.DoC on the
 // vendor's device-fingerprint graph). Devices come back sorted by ID, so
@@ -567,16 +721,16 @@ func (c *Client) deviceDoCs(keep func(vendor string) bool) []deviceDoC {
 	type use struct{ vendor, key string }
 	users := map[use]int{}
 	var devs []deviceDoC
-	for id, keys := range c.DevicePrints {
-		vendor := c.DeviceVendor[id]
+	c.devicePrints.each(func(id string, keys StringSet) {
+		vendor := c.DeviceVendor(id)
 		if !keep(vendor) {
-			continue
+			return
 		}
 		devs = append(devs, deviceDoC{id: id, vendor: vendor, keys: keys})
 		for _, key := range keys {
 			users[use{vendor, key}]++
 		}
-	}
+	})
 	sort.Slice(devs, func(i, j int) bool { return devs[i].id < devs[j].id })
 	for i := range devs {
 		d := &devs[i]
@@ -593,9 +747,7 @@ func (c *Client) deviceDoCs(keep func(vendor string) bool) []deviceDoC {
 
 func (c *Client) vendorNames() []string {
 	set := map[string]bool{}
-	for _, v := range c.DeviceVendor {
-		set[v] = true
-	}
+	c.deviceVendor.each(func(_, v string) { set[v] = true })
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -616,39 +768,40 @@ type Table3Row struct {
 // Table3 computes the heterogeneity rows for the topN vendors by
 // fingerprint count.
 func (c *Client) Table3(topN int) []Table3Row {
-	perVendor := map[string]map[string]bool{} // vendor -> fp keys
+	// One pass over the fingerprints: each print's devices are counted
+	// per vendor once, then credited to every vendor that uses it.
+	type tally struct{ prints, shared10, single int }
+	perVendor := map[string]*tally{}
+	devices := map[string]int{} // vendor -> the print's devices of that vendor
 	for _, key := range c.orderedKeys {
-		for _, vendor := range c.Prints[key].Vendors {
-			if perVendor[vendor] == nil {
-				perVendor[vendor] = map[string]bool{}
+		info := c.Fingerprint(key)
+		clear(devices)
+		for _, dev := range info.Devices {
+			devices[c.DeviceVendor(dev)]++
+		}
+		for _, vendor := range info.Vendors {
+			t := perVendor[vendor]
+			if t == nil {
+				t = &tally{}
+				perVendor[vendor] = t
 			}
-			perVendor[vendor][key] = true
+			t.prints++
+			switch n := devices[vendor]; {
+			case n >= 10:
+				t.shared10++
+			case n == 1:
+				t.single++
+			}
 		}
 	}
 	rows := make([]Table3Row, 0, len(perVendor))
-	for vendor, keys := range perVendor {
-		row := Table3Row{Vendor: vendor, NumFingerprints: len(keys)}
-		shared10, single := 0, 0
-		for key := range keys {
-			// Count devices of THIS vendor using the fingerprint.
-			n := 0
-			for _, dev := range c.Prints[key].Devices {
-				if c.DeviceVendor[dev] == vendor {
-					n++
-				}
-			}
-			if n >= 10 {
-				shared10++
-			}
-			if n == 1 {
-				single++
-			}
-		}
-		if len(keys) > 0 {
-			row.SharedBy10Plus = float64(shared10) / float64(len(keys))
-			row.UsedBySingleDev = float64(single) / float64(len(keys))
-		}
-		rows = append(rows, row)
+	for vendor, t := range perVendor {
+		rows = append(rows, Table3Row{
+			Vendor:          vendor,
+			NumFingerprints: t.prints,
+			SharedBy10Plus:  float64(t.shared10) / float64(t.prints),
+			UsedBySingleDev: float64(t.single) / float64(t.prints),
+		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].NumFingerprints != rows[j].NumFingerprints {
@@ -684,7 +837,7 @@ func (c *Client) Table5(minDevices int) []Table5Row {
 	// SNI -> set of fingerprint keys seen toward it.
 	sniPrints := map[string]map[string]bool{}
 	for _, key := range c.orderedKeys {
-		for _, sni := range c.Prints[key].SNIs {
+		for _, sni := range c.Fingerprint(key).SNIs {
 			if sniPrints[sni] == nil {
 				sniPrints[sni] = map[string]bool{}
 			}
@@ -715,9 +868,9 @@ func (c *Client) Table5(minDevices int) []Table5Row {
 		a.fqdns++
 		// Count the devices that actually visited this server (all of
 		// them used the tied fingerprint by construction).
-		for _, d := range c.SNIDevices[sni] {
+		for _, d := range c.SNIDevices(sni) {
 			a.devices[d] = true
-			a.vendors[c.DeviceVendor[d]] = true
+			a.vendors[c.DeviceVendor(d)] = true
 		}
 	}
 	var rows []Table5Row
@@ -732,7 +885,7 @@ func (c *Client) Table5(minDevices int) []Table5Row {
 				break
 			}
 		}
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		var vulns []string
 		for _, v := range info.Print.VulnClasses() {
 			vulns = append(vulns, v.String())
@@ -771,11 +924,11 @@ func (c *Client) ServerTiedSNIFraction(matcher *fingerprint.Matcher) float64 {
 	sniPrints := map[string]map[string]bool{}
 	for _, key := range c.orderedKeys {
 		if matcher != nil {
-			if _, ok := matcher.MatchExact(c.Prints[key].Print); ok {
+			if _, ok := matcher.MatchExact(c.Fingerprint(key).Print); ok {
 				continue
 			}
 		}
-		for _, sni := range c.Prints[key].SNIs {
+		for _, sni := range c.Fingerprint(key).SNIs {
 			if sniPrints[sni] == nil {
 				sniPrints[sni] = map[string]bool{}
 			}
@@ -791,7 +944,7 @@ func (c *Client) ServerTiedSNIFraction(matcher *fingerprint.Matcher) float64 {
 			continue
 		}
 		for key := range prints {
-			if len(c.Prints[key].Devices) >= 2 {
+			if len(c.Fingerprint(key).Devices) >= 2 {
 				tied++
 			}
 		}
@@ -821,13 +974,13 @@ type VulnStats struct {
 // Vulnerabilities computes the Section 4.2 statistics.
 func (c *Client) Vulnerabilities() VulnStats {
 	st := VulnStats{
-		TotalFingerprints: len(c.Prints),
+		TotalFingerprints: c.prints.len(),
 		ByClass:           map[ciphersuite.VulnClass]int{},
 	}
 	awfulVendors := map[string]bool{}
 	awfulDevices := map[string]bool{}
 	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		classes := info.Print.VulnClasses()
 		if len(classes) == 0 {
 			continue

@@ -34,12 +34,12 @@ func (r LibMatchResult) MatchRate() float64 {
 // the corpus.
 func (c *Client) MatchLibraries(matcher *fingerprint.Matcher) LibMatchResult {
 	res := LibMatchResult{
-		TotalFingerprints: len(c.Prints),
+		TotalFingerprints: c.prints.len(),
 		PerFamily:         map[string]int{},
 	}
 	libs := map[string]bool{}
 	for _, key := range c.orderedKeys {
-		e, ok := matcher.MatchExact(c.Prints[key].Print)
+		e, ok := matcher.MatchExact(c.Fingerprint(key).Print)
 		if !ok {
 			continue
 		}
@@ -102,7 +102,7 @@ func (c *Client) suiteLists() []suiteList {
 	var lists []suiteList
 	var key []byte
 	for _, k := range c.orderedKeys {
-		info := c.Prints[k]
+		info := c.Fingerprint(k)
 		key = key[:0]
 		for _, cs := range info.Print.CipherSuites {
 			key = append(key, byte(cs>>8), byte(cs))
@@ -119,7 +119,7 @@ func (c *Client) suiteLists() []suiteList {
 	for i := range lists {
 		vendors = vendors[:0]
 		for _, dev := range lists[i].devices {
-			vendors = append(vendors, c.DeviceVendor[dev])
+			vendors = append(vendors, c.DeviceVendor(dev))
 		}
 		sort.Strings(vendors)
 		for j := 0; j < len(vendors); {
@@ -230,10 +230,8 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 
 // Table12 returns proposal counts per TLS version.
 func (c *Client) Table12() map[tlswire.Version]int {
-	out := make(map[tlswire.Version]int, len(c.VersionCounts))
-	for v, n := range c.VersionCounts {
-		out[v] = n
-	}
+	out := make(map[tlswire.Version]int, c.versionCounts.len())
+	c.versionCounts.each(func(v tlswire.Version, n int) { out[v] = n })
 	return out
 }
 
@@ -242,14 +240,14 @@ func (c *Client) SSL3Census() (devices int, vendors map[string]int) {
 	devSet := map[string]bool{}
 	vendors = map[string]int{}
 	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		if info.Print.Version != tlswire.VersionSSL30 {
 			continue
 		}
 		for _, d := range info.Devices {
 			if !devSet[d] {
 				devSet[d] = true
-				vendors[c.DeviceVendor[d]]++
+				vendors[c.DeviceVendor(d)]++
 			}
 		}
 	}
@@ -413,7 +411,7 @@ func (c *Client) Census() ExtensionCensus {
 		return f
 	}
 	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		hasOCSP := false
 		for _, e := range info.Print.Extensions {
 			if e == uint16(tlswire.ExtStatusRequest) {
@@ -434,7 +432,7 @@ func (c *Client) Census() ExtensionCensus {
 	var out ExtensionCensus
 	vOCSP, vGS, vGE, vSCSV := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
 	for dev, f := range flags {
-		vendor := c.DeviceVendor[dev]
+		vendor := c.DeviceVendor(dev)
 		if f.ocsp {
 			out.OCSPDevices++
 			vOCSP[vendor] = true

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
-	"repro/internal/tlswire"
 )
 
 // This file is the incremental half of the client analysis: the batch
@@ -22,7 +21,8 @@ import (
 // merge into a Client. A Delta is single-use: merging moves its
 // internal state into the Client.
 type Delta struct {
-	frag *Client
+	agg     aggregate
+	records []dataset.Record
 }
 
 // NewDelta parses one record batch into a mergeable Delta. The batch
@@ -40,97 +40,35 @@ func NewDelta(records []dataset.Record) (*Delta, error) {
 	if shard.err != nil {
 		return nil, fmt.Errorf("analysis: record %d: %w", shard.errIdx, shard.err)
 	}
-	d := &Delta{frag: NewClientEmpty()}
-	shard.finalize(d.frag)
-	d.frag.rebuildOrderedKeys()
-	for _, r := range records {
-		d.frag.DeviceVendor[r.DeviceID] = r.Vendor
-		d.frag.DeviceType[r.DeviceID] = r.Type
-	}
-	return d, nil
+	return &Delta{agg: shard.finalize(), records: records}, nil
 }
 
 // MergeDelta folds a delta into the client. The merge is commutative
 // and associative (sorted-set unions and count additions), so any
 // arrival order of the same deltas yields the same Client. The delta
-// must not be reused afterwards. Unions never mutate an existing set
-// in place — they either keep it or replace it with a fresh slice —
-// so snapshots published by Clone stay immutable while the original
-// keeps merging. orderedKeys is rebuilt eagerly, so table methods stay
-// read-only, but only when the delta added a fingerprint: a delta of
-// already-known prints leaves the key set, and so its order, unchanged.
+// must not be reused afterwards. It runs the same merge as
+// NewClientWorkers, so everything a Clone shares stays untouched: the
+// first write to a shard or a FingerprintInfo after a Clone copies it,
+// writes that change nothing are skipped, and orderedKeys is replaced
+// only when the delta adds a fingerprint.
 func (c *Client) MergeDelta(d *Delta) {
-	f := d.frag
-	added := false
-	for key, part := range f.Prints {
-		info := c.Prints[key]
-		if info == nil {
-			c.Prints[key] = part
-			added = true
-			continue
-		}
-		info.Devices = unionSets(info.Devices, part.Devices)
-		info.Vendors = unionSets(info.Vendors, part.Vendors)
-		info.Types = unionSets(info.Types, part.Types)
-		info.SNIs = unionSets(info.SNIs, part.SNIs)
-		info.Records += part.Records
-	}
-	for dev, keys := range f.DevicePrints {
-		c.DevicePrints[dev] = unionSets(c.DevicePrints[dev], keys)
-	}
-	for sni, devs := range f.SNIDevices {
-		c.SNIDevices[sni] = unionSets(c.SNIDevices[sni], devs)
-	}
-	for v, n := range f.VersionCounts {
-		c.VersionCounts[v] += n
-	}
-	for id, v := range f.DeviceVendor {
-		c.DeviceVendor[id] = v
-	}
-	for id, t := range f.DeviceType {
-		c.DeviceType[id] = t
-	}
-	if added {
-		c.rebuildOrderedKeys()
+	c.merge(&d.agg)
+	for _, r := range d.records {
+		c.setDevice(r.DeviceID, r.Vendor, r.Type)
 	}
 }
 
-// Clone copies the client's aggregate state so the copy can be
-// published as an immutable snapshot while the original keeps merging
-// deltas. StringSets and fingerprint tuples are shared, not deep-
-// copied: merging replaces sets rather than mutating them, so a
-// snapshot's slices never change underneath a reader — and a clone
-// costs one FingerprintInfo struct plus map headers instead of
-// re-copying every element.
+// Clone returns a copy of the client that can be published as an
+// immutable snapshot while the original keeps merging deltas. It copies
+// the fixed shard-pointer arrays of the six indexes, not their entries,
+// so its cost does not grow with the state: both Clients then share
+// every shard, FingerprintInfo, StringSet and orderedKeys, and each gets
+// a fresh generation, so whichever writes first copies the shard or
+// info it writes. Merges never modify a shared value in place.
 func (c *Client) Clone() *Client {
-	out := &Client{
-		DS:            c.DS,
-		Prints:        make(map[string]*FingerprintInfo, len(c.Prints)),
-		DevicePrints:  make(map[string]StringSet, len(c.DevicePrints)),
-		DeviceVendor:  make(map[string]string, len(c.DeviceVendor)),
-		DeviceType:    make(map[string]string, len(c.DeviceType)),
-		VersionCounts: make(map[tlswire.Version]int, len(c.VersionCounts)),
-		SNIDevices:    make(map[string]StringSet, len(c.SNIDevices)),
-		orderedKeys:   append([]string(nil), c.orderedKeys...),
-	}
-	for key, info := range c.Prints {
-		cp := *info
-		out.Prints[key] = &cp
-	}
-	for dev, keys := range c.DevicePrints {
-		out.DevicePrints[dev] = keys
-	}
-	for id, v := range c.DeviceVendor {
-		out.DeviceVendor[id] = v
-	}
-	for id, t := range c.DeviceType {
-		out.DeviceType[id] = t
-	}
-	for v, n := range c.VersionCounts {
-		out.VersionCounts[v] = n
-	}
-	for sni, devs := range c.SNIDevices {
-		out.SNIDevices[sni] = devs
-	}
+	out := new(Client)
+	*out = *c
+	out.gen = nextGen()
+	c.gen = nextGen()
 	return out
 }

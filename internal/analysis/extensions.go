@@ -31,7 +31,7 @@ func (c *Client) ExtensionFrequencies(matcher *fingerprint.Matcher) []ExtensionF
 	devCount := map[tlswire.ExtensionType]int{}
 	for _, key := range c.orderedKeys {
 		seen := map[tlswire.ExtensionType]bool{}
-		for _, e := range c.Prints[key].Print.Extensions {
+		for _, e := range c.Fingerprint(key).Print.Extensions {
 			et := tlswire.ExtensionType(e)
 			if tlswire.IsGREASEExtension(e) || seen[et] {
 				continue
@@ -68,8 +68,8 @@ func (c *Client) ExtensionFrequencies(matcher *fingerprint.Matcher) []ExtensionF
 	out := make([]ExtensionFrequency, 0, len(all))
 	for e := range all {
 		f := ExtensionFrequency{Extension: e}
-		if len(c.Prints) > 0 {
-			f.DeviceShare = float64(devCount[e]) / float64(len(c.Prints))
+		if c.prints.len() > 0 {
+			f.DeviceShare = float64(devCount[e]) / float64(c.prints.len())
 		}
 		if len(corpusPrints) > 0 {
 			f.CorpusShare = float64(corpusCount[e]) / float64(len(corpusPrints))

@@ -9,6 +9,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/libcorpus"
 	"repro/internal/obs"
+	"repro/internal/tlswire"
 )
 
 // setOf converts an unordered set to the sorted StringSet form the
@@ -40,11 +41,12 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 	prints := map[string]*rawInfo{}
 	devicePrints := map[string]map[string]bool{}
 	sniDevices := map[string]map[string]bool{}
+	versions := map[tlswire.Version]int{}
 	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
-		c.DeviceVendor[d.ID] = d.Vendor
-		c.DeviceType[d.ID] = d.Type
+		c.deviceVendor.set(c.gen, d.ID, d.Vendor)
+		c.deviceType.set(c.gen, d.ID, d.Type)
 	}
 	for i, r := range ds.Records.Rows() {
 		ch, err := r.Hello()
@@ -79,10 +81,13 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 			devicePrints[r.DeviceID] = map[string]bool{}
 		}
 		devicePrints[r.DeviceID][key] = true
-		c.VersionCounts[f.Version]++
+		versions[f.Version]++
+	}
+	for v, n := range versions {
+		c.versionCounts.set(c.gen, v, n)
 	}
 	for key, info := range prints {
-		c.Prints[key] = &FingerprintInfo{
+		c.prints.set(c.gen, key, &FingerprintInfo{
 			Print:   info.print,
 			Key:     key,
 			Devices: setOf(info.devices),
@@ -90,15 +95,51 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 			Types:   setOf(info.types),
 			SNIs:    setOf(info.snis),
 			Records: info.records,
-		}
+		})
 	}
 	for dev, keys := range devicePrints {
-		c.DevicePrints[dev] = setOf(keys)
+		c.devicePrints.set(c.gen, dev, setOf(keys))
 	}
 	for sni, devs := range sniDevices {
-		c.SNIDevices[sni] = setOf(devs)
+		c.sniDevices.set(c.gen, sni, setOf(devs))
 	}
 	return c
+}
+
+// clientState is a Client's contents as plain maps, with every
+// FingerprintInfo's generation cleared. Two Clients with the same
+// contents have equal states under reflect.DeepEqual, however their
+// shards and generations differ.
+type clientState struct {
+	prints        map[string]FingerprintInfo
+	devicePrints  map[string]StringSet
+	deviceVendor  map[string]string
+	deviceType    map[string]string
+	versionCounts map[tlswire.Version]int
+	sniDevices    map[string]StringSet
+}
+
+func stateOf(c *Client) clientState {
+	st := clientState{
+		prints:        map[string]FingerprintInfo{},
+		devicePrints:  plainMap(&c.devicePrints),
+		deviceVendor:  plainMap(&c.deviceVendor),
+		deviceType:    plainMap(&c.deviceType),
+		versionCounts: plainMap(&c.versionCounts),
+		sniDevices:    plainMap(&c.sniDevices),
+	}
+	c.prints.each(func(key string, info *FingerprintInfo) {
+		v := *info
+		v.gen = 0
+		st.prints[key] = v
+	})
+	return st
+}
+
+func plainMap[K comparable, V any](m *cowMap[K, V]) map[K]V {
+	out := make(map[K]V, m.len())
+	m.each(func(k K, v V) { out[k] = v })
+	return out
 }
 
 // refCacheKey is the (StackID, SNI-presence) pair the parse memo keys
@@ -144,26 +185,31 @@ func TestNewClientWorkersEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(got.Prints) != len(want.Prints) {
-			t.Fatalf("workers=%d: %d prints, want %d", workers, len(got.Prints), len(want.Prints))
+		gs, ws := stateOf(got), stateOf(want)
+		if len(gs.prints) != len(ws.prints) || got.NumFingerprints() != len(ws.prints) {
+			t.Fatalf("workers=%d: %d prints (NumFingerprints %d), want %d",
+				workers, len(gs.prints), got.NumFingerprints(), len(ws.prints))
 		}
-		for key, w := range want.Prints {
-			g := got.Prints[key]
-			if g == nil {
+		for key, w := range ws.prints {
+			g, ok := gs.prints[key]
+			if !ok {
 				t.Fatalf("workers=%d: missing print %s", workers, key)
 			}
 			if !reflect.DeepEqual(g, w) {
 				t.Fatalf("workers=%d: print %s differs:\n got %+v\nwant %+v", workers, key, g, w)
 			}
 		}
-		if !reflect.DeepEqual(got.DevicePrints, want.DevicePrints) {
+		if !reflect.DeepEqual(gs.devicePrints, ws.devicePrints) {
 			t.Fatalf("workers=%d: DevicePrints differ", workers)
 		}
-		if !reflect.DeepEqual(got.SNIDevices, want.SNIDevices) {
+		if !reflect.DeepEqual(gs.sniDevices, ws.sniDevices) {
 			t.Fatalf("workers=%d: SNIDevices differ", workers)
 		}
-		if !reflect.DeepEqual(got.VersionCounts, want.VersionCounts) {
+		if !reflect.DeepEqual(gs.versionCounts, ws.versionCounts) {
 			t.Fatalf("workers=%d: VersionCounts differ", workers)
+		}
+		if !reflect.DeepEqual(gs.deviceVendor, ws.deviceVendor) || !reflect.DeepEqual(gs.deviceType, ws.deviceType) {
+			t.Fatalf("workers=%d: device vendors or types differ", workers)
 		}
 		if !reflect.DeepEqual(got.orderedKeys, want.orderedKeysForTest()) {
 			t.Fatalf("workers=%d: orderedKeys differ", workers)
@@ -264,10 +310,8 @@ func (c *Client) orderedKeysForTest() []string {
 	if c.orderedKeys != nil {
 		return c.orderedKeys
 	}
-	out := make([]string, 0, len(c.Prints))
-	for k := range c.Prints {
-		out = append(out, k)
-	}
+	out := make([]string, 0, c.prints.len())
+	c.prints.each(func(k string, _ *FingerprintInfo) { out = append(out, k) })
 	sortStrings(out)
 	return out
 }

@@ -181,27 +181,28 @@ func newCertRecord(w *simnet.World, sni string, chain pki.Chain) *CertRecord {
 // AttachVisitors joins the passive view to the active one: every
 // record's Devices become the devices that visited its SNI in the
 // ClientHello dataset, and its Vendors those devices' vendors.
-// sniDevices and deviceVendor have the shape of Client.SNIDevices and
-// Client.DeviceVendor, so a study attaches straight from its ingested
-// client state. A record whose SNI no device visited gets empty sets.
-func (s *Server) AttachVisitors(sniDevices map[string]StringSet, deviceVendor map[string]string) {
+// sniDevices and deviceVendor are lookups of the shape of
+// Client.SNIDevices and Client.DeviceVendor, so a study attaches
+// straight from its ingested client state. A record whose SNI no device
+// visited gets empty sets.
+func (s *Server) AttachVisitors(sniDevices func(sni string) StringSet, deviceVendor func(dev string) string) {
 	for _, rec := range s.Records {
-		devs := sniDevices[rec.SNI]
+		devs := sniDevices(rec.SNI)
 		rec.Devices = make(map[string]bool, len(devs))
 		rec.Vendors = map[string]bool{}
 		for _, d := range devs {
 			rec.Devices[d] = true
-			rec.Vendors[deviceVendor[d]] = true
+			rec.Vendors[deviceVendor(d)] = true
 		}
 	}
 }
 
-// visitIndex builds, for callers without an ingested Client, the index
-// Client.SNIDevices and Client.DeviceVendor hold: the devices that
-// visited each SNI, scanned from ds's records, and each device's vendor.
-// Records are walked in column form, so a record without an SNI is
-// skipped on a symbol compare without materializing a row.
-func visitIndex(ds *dataset.Dataset) (map[string]StringSet, map[string]string) {
+// visitIndex builds, for callers without an ingested Client, the
+// lookups Client.SNIDevices and Client.DeviceVendor provide: the devices
+// that visited each SNI, scanned from ds's records, and each device's
+// vendor. Records are walked in column form, so a record without an SNI
+// is skipped on a symbol compare without materializing a row.
+func visitIndex(ds *dataset.Dataset) (func(sni string) StringSet, func(dev string) string) {
 	recs := ds.Records
 	tab := recs.Table()
 	seen := map[sniEdge]struct{}{}
@@ -225,7 +226,8 @@ func visitIndex(ds *dataset.Dataset) (map[string]StringSet, map[string]string) {
 	for _, d := range ds.Devices {
 		deviceVendor[d.ID] = d.Vendor
 	}
-	return sniDevices, deviceVendor
+	return func(sni string) StringSet { return sniDevices[sni] },
+		func(dev string) string { return deviceVendor[dev] }
 }
 
 // Table6 is the certificate dataset summary.

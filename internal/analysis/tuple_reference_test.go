@@ -28,7 +28,7 @@ import (
 func (c *Client) refDeviceSuiteTuples() map[string][]uint16 {
 	out := map[string][]uint16{}
 	for _, key := range c.orderedKeys {
-		info := c.Prints[key]
+		info := c.Fingerprint(key)
 		suiteKey := ""
 		for _, cs := range info.Print.CipherSuites {
 			suiteKey += string(rune('A'+(cs>>12))) + string(rune('a'+(cs>>8&0xF))) +
@@ -69,7 +69,7 @@ func (c *Client) refTable11(matcher *fingerprint.Matcher) []Table11Row {
 			accs[m.Category] = a
 		}
 		a.tuples++
-		a.vendors[c.DeviceVendor[dev]] = true
+		a.vendors[c.DeviceVendor(dev)] = true
 		if m.Category != fingerprint.Customization && !m.Library.SupportedIn2020 {
 			a.outdated++
 		}
@@ -142,7 +142,7 @@ func (c *Client) refFigure9() []Figure9Row {
 				break
 			}
 		}
-		vendor := c.DeviceVendor[dev]
+		vendor := c.DeviceVendor(dev)
 		row := rows[vendor]
 		if row == nil {
 			row = &Figure9Row{Vendor: vendor, ByClass: map[ciphersuite.VulnClass]int{}}
@@ -173,7 +173,7 @@ func (c *Client) refFigure11() []Figure11Row {
 				break
 			}
 		}
-		vendor := c.DeviceVendor[dev]
+		vendor := c.DeviceVendor(dev)
 		row := rows[vendor]
 		if row == nil {
 			row = &Figure11Row{Vendor: vendor}
@@ -222,7 +222,7 @@ func (c *Client) refFigure12() []Figure12Row {
 				break
 			}
 		}
-		vendor := c.DeviceVendor[dev]
+		vendor := c.DeviceVendor(dev)
 		row := rows[vendor]
 		if row == nil {
 			row = &Figure12Row{
@@ -250,14 +250,14 @@ func (c *Client) refFigure12() []Figure12Row {
 // the left, their fingerprints on the right.
 func (c *Client) refDeviceGraphForVendor(vendor string) *graph.Bipartite {
 	g := graph.New()
-	for dev, prints := range c.DevicePrints {
-		if c.DeviceVendor[dev] != vendor {
-			continue
+	c.devicePrints.each(func(dev string, prints StringSet) {
+		if c.DeviceVendor(dev) != vendor {
+			return
 		}
 		for _, key := range prints {
 			g.AddEdge(dev, key)
 		}
-	}
+	})
 	return g
 }
 
@@ -335,13 +335,13 @@ func addTwinPrint(t *testing.T, c *Client) {
 	t.Helper()
 	var orig *FingerprintInfo
 	for _, key := range c.orderedKeys {
-		if info := c.Prints[key]; orig == nil || len(info.Devices) > len(orig.Devices) {
+		if info := c.Fingerprint(key); orig == nil || len(info.Devices) > len(orig.Devices) {
 			orig = info
 		}
 	}
 	extra := ""
 	for _, key := range c.orderedKeys {
-		for _, dev := range c.Prints[key].Devices {
+		for _, dev := range c.Fingerprint(key).Devices {
 			if extra == "" && !orig.Devices.Has(dev) {
 				extra = dev
 			}
@@ -350,15 +350,15 @@ func addTwinPrint(t *testing.T, c *Client) {
 	twin := *orig
 	twin.Print.Extensions = append(append([]uint16(nil), orig.Print.Extensions...), 0xfe0d)
 	twin.Key = twin.Print.Key()
-	if len(orig.Devices) < 2 || extra == "" || c.Prints[twin.Key] != nil {
+	if len(orig.Devices) < 2 || extra == "" || c.Fingerprint(twin.Key) != nil {
 		t.Fatalf("cannot add a twin of %s", orig.Key)
 	}
 	twin.Devices = unionSets(orig.Devices[:len(orig.Devices)/2], StringSet{extra})
-	c.Prints[twin.Key] = &twin
+	a := aggregate{prints: []*FingerprintInfo{&twin}}
 	for _, dev := range twin.Devices {
-		c.DevicePrints[dev] = unionSets(c.DevicePrints[dev], StringSet{twin.Key})
+		a.devicePrints = append(a.devicePrints, keyedSet{dev, StringSet{twin.Key}})
 	}
-	c.rebuildOrderedKeys()
+	c.merge(&a)
 }
 
 // addSCSVOnlyVendor adds a vendor whose one device proposes one list,
@@ -366,17 +366,17 @@ func addTwinPrint(t *testing.T, c *Client) {
 // creates the vendor's row, so the vendor has no Figure 12 row at all.
 func addSCSVOnlyVendor(c *Client) {
 	const dev, vendor = "scsv-only-device", "SCSV-only vendor"
-	f := c.Prints[c.orderedKeys[0]].Print
+	f := c.Fingerprint(c.orderedKeys[0]).Print
 	f.CipherSuites = append([]uint16{ciphersuite.SCSVRenegotiation}, f.CipherSuites...)
 	key := f.Key()
-	c.Prints[key] = &FingerprintInfo{
-		Print: f, Key: key, Records: 1,
-		Devices: StringSet{dev}, Vendors: StringSet{vendor}, Types: StringSet{"camera"},
-	}
-	c.DevicePrints[dev] = StringSet{key}
-	c.DeviceVendor[dev] = vendor
-	c.DeviceType[dev] = "camera"
-	c.rebuildOrderedKeys()
+	c.merge(&aggregate{
+		prints: []*FingerprintInfo{{
+			Print: f, Key: key, Records: 1,
+			Devices: StringSet{dev}, Vendors: StringSet{vendor}, Types: StringSet{"camera"},
+		}},
+		devicePrints: []keyedSet{{dev, StringSet{key}}},
+	})
+	c.setDevice(dev, vendor, "camera")
 }
 
 // sameBits reports the first vendor whose value differs from want in

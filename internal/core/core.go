@@ -383,10 +383,10 @@ func (s *Study) Figure1Dot() string {
 	return g.Dot(graph.DotOptions{
 		Name: "figure1_vendor_fingerprints",
 		RightColor: func(key string) string {
-			return report.SecurityColor(s.Client.Prints[key].Print)
+			return report.SecurityColor(s.Client.Fingerprint(key).Print)
 		},
 		RightSize: func(key string) float64 {
-			return report.SecuritySize(s.Client.Prints[key].Print)
+			return report.SecuritySize(s.Client.Fingerprint(key).Print)
 		},
 		LeftLabel: func(vendor string) string {
 			return fmt.Sprintf("%d", vendorIdx[vendor])
@@ -400,7 +400,7 @@ func (s *Study) Figure3Dot() string {
 	return g.Dot(graph.DotOptions{
 		Name: "figure3_amazon_types",
 		RightColor: func(key string) string {
-			return report.SecurityColor(s.Client.Prints[key].Print)
+			return report.SecurityColor(s.Client.Fingerprint(key).Print)
 		},
 	})
 }
@@ -411,7 +411,7 @@ func (s *Study) Figure4Dot() string {
 	return g.Dot(graph.DotOptions{
 		Name: "figure4_amazon_echo_devices",
 		RightColor: func(key string) string {
-			return report.SecurityColor(s.Client.Prints[key].Print)
+			return report.SecurityColor(s.Client.Fingerprint(key).Print)
 		},
 	})
 }

@@ -3,7 +3,9 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -74,6 +76,27 @@ type wireBatch struct {
 	Records []wireRecord `json:"records"`
 }
 
+// decodeBatch decodes a POST /v1/batch body into its source and
+// records. It rejects a body whose first JSON value is not a batch, and
+// a batch without a source or without records.
+func decodeBatch(body io.Reader) (string, []dataset.Record, error) {
+	var batch wireBatch
+	if err := json.NewDecoder(body).Decode(&batch); err != nil {
+		return "", nil, err
+	}
+	if batch.Source == "" {
+		return "", nil, errors.New("source required")
+	}
+	if len(batch.Records) == 0 {
+		return "", nil, errors.New("no records")
+	}
+	records := make([]dataset.Record, len(batch.Records))
+	for i, wr := range batch.Records {
+		records[i] = wr.record()
+	}
+	return batch.Source, records, nil
+}
+
 // Handler wires the service's HTTP surface:
 //
 //	POST /v1/batch  — submit a record batch; 202 accepted, 429 + Retry-After shed
@@ -104,30 +127,17 @@ func Handler(s *Service, opts HTTPOptions) http.Handler {
 	mux.HandleFunc("POST /v1/batch", withDeadline(func(w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, opts.MaxBodyBytes)
 		decode := startPhase(s.phases.decode)
-		var batch wireBatch
-		dec := json.NewDecoder(r.Body)
-		if err := dec.Decode(&batch); err != nil {
+		source, records, err := decodeBatch(r.Body)
+		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
-			return
-		}
-		if batch.Source == "" {
-			httpError(w, http.StatusBadRequest, "bad batch: source required")
-			return
-		}
-		if len(batch.Records) == 0 {
-			httpError(w, http.StatusBadRequest, "bad batch: no records")
 			return
 		}
 		if err := r.Context().Err(); err != nil {
 			httpError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 			return
 		}
-		records := make([]dataset.Record, len(batch.Records))
-		for i, wr := range batch.Records {
-			records[i] = wr.record()
-		}
 		decode.stop()
-		outcome := s.Submit(batch.Source, records)
+		outcome := s.Submit(source, records)
 		w.Header().Set("Content-Type", "application/json")
 		if !outcome.Accepted() {
 			retry := int(s.RetryAfter(outcome) / time.Second)

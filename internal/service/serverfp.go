@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/probe"
 	"repro/internal/serverfp"
@@ -54,14 +53,10 @@ func (s *Service) ServerFP(ctx context.Context) (*ServerFPView, error) {
 	if s.sfpView != nil && s.sfpView.Epoch == snap.Epoch {
 		return s.sfpView, nil
 	}
-	snis := make([]string, 0, len(snap.Client.SNIDevices))
-	for sni := range snap.Client.SNIDevices {
-		snis = append(snis, sni)
-	}
 	// simnet.Build seeds per-server state off its own rng stream, so the
-	// SNI list must enter in a canonical order for the census to be a
-	// pure function of the snapshot.
-	sort.Strings(snis)
+	// SNI list enters in a canonical (sorted) order for the census to be
+	// a pure function of the snapshot.
+	snis := snap.Client.SNIs()
 	view := &ServerFPView{Epoch: snap.Epoch}
 	if len(snis) > 0 {
 		// The world seed mirrors the batch pipeline's (cfg.Seed + 1), so

@@ -187,7 +187,11 @@ type Stats struct {
 	// SnapshotAgeSeconds is the staleness of the published snapshot.
 	SnapshotAgeSeconds float64 `json:"snapshot_age_seconds"`
 	// IngestP50/P99 are admission-to-publication latencies in seconds:
-	// from Submit to the snapshot that first covers the batch.
+	// from Submit to the snapshot that first covers the batch. They are
+	// quantiles of the most recent latencySamples (4,096) accepted
+	// batches, so a long-running daemon's memory and /statz cost stay
+	// bounded; the service_ingest_seconds histogram keeps the whole
+	// history.
 	IngestP50 float64 `json:"ingest_p50_seconds"`
 	IngestP99 float64 `json:"ingest_p99_seconds"`
 	// ServerFPRuns counts census computations (one per epoch actually
@@ -272,7 +276,7 @@ type Service struct {
 	lastActivity atomic.Int64
 
 	latMu     sync.Mutex
-	latencies []float64
+	latencies latencyWindow
 
 	// sfpMu guards the per-epoch server-fingerprint census cache
 	// (serverfp.go); sfpRuns/sfpTargets feed /statz.
@@ -528,7 +532,7 @@ func (s *Service) publish(group []parsedBatch) {
 		s.acceptedR.Add(n)
 		lat := now.Sub(p.item.at).Seconds()
 		s.latMu.Lock()
-		s.latencies = append(s.latencies, lat)
+		s.latencies.add(lat)
 		s.latMu.Unlock()
 		ingest.Observe(lat)
 		acceptedRecords.Add(n)
@@ -681,7 +685,7 @@ func (s *Service) Stats() Stats {
 
 func (s *Service) latencyQuantiles() (p50, p99 float64) {
 	s.latMu.Lock()
-	lats := append([]float64(nil), s.latencies...)
+	lats := s.latencies.sample()
 	s.latMu.Unlock()
 	if len(lats) == 0 {
 		return 0, 0
@@ -692,6 +696,34 @@ func (s *Service) latencyQuantiles() (p50, p99 float64) {
 		return lats[i]
 	}
 	return q(0.50), q(0.99)
+}
+
+// latencySamples is how many of the most recent ingest latencies the
+// /statz quantiles cover.
+const latencySamples = 4096
+
+// latencyWindow is a ring of the latest latencySamples latencies: it
+// holds a fixed array however long the daemon runs.
+type latencyWindow struct {
+	buf  [latencySamples]float64
+	next int // slot the next latency overwrites
+	n    int // filled slots, at most latencySamples
+}
+
+func (w *latencyWindow) add(lat float64) {
+	w.buf[w.next] = lat
+	w.next = (w.next + 1) % latencySamples
+	w.n = min(w.n+1, latencySamples)
+}
+
+// sample copies the window's latencies, oldest first.
+func (w *latencyWindow) sample() []float64 {
+	out := make([]float64, 0, w.n)
+	if w.n == latencySamples {
+		out = append(out, w.buf[w.next:]...)
+		return append(out, w.buf[:w.next]...)
+	}
+	return append(out, w.buf[:w.n]...)
 }
 
 // QuarantineLog returns the retained quarantine entries, newest last.

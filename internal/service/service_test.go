@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -104,11 +106,17 @@ func TestDeltaMergeMatchesBatch(t *testing.T) {
 	if snap.Client.NumFingerprints() != batch.NumFingerprints() {
 		t.Fatalf("fingerprints: service %d, batch %d", snap.Client.NumFingerprints(), batch.NumFingerprints())
 	}
-	if !reflect.DeepEqual(snap.Client.VersionCounts, batch.VersionCounts) {
-		t.Fatalf("version counts diverge:\nservice %v\nbatch   %v", snap.Client.VersionCounts, batch.VersionCounts)
+	if !reflect.DeepEqual(snap.Client.Table12(), batch.Table12()) {
+		t.Fatalf("version counts diverge:\nservice %v\nbatch   %v", snap.Client.Table12(), batch.Table12())
 	}
-	if !reflect.DeepEqual(snap.Client.DevicePrints, batch.DevicePrints) {
-		t.Fatal("device->fingerprint maps diverge")
+	devs := batch.Devices()
+	if !reflect.DeepEqual(snap.Client.Devices(), devs) {
+		t.Fatal("device sets diverge")
+	}
+	for _, dev := range devs {
+		if !reflect.DeepEqual(snap.Client.DevicePrints(dev), batch.DevicePrints(dev)) {
+			t.Fatalf("device %s: fingerprints diverge", dev)
+		}
 	}
 
 	var got, want bytes.Buffer
@@ -294,4 +302,55 @@ func TestFinalReportRequiresDrain(t *testing.T) {
 		t.Fatal("FinalReport before drain succeeded")
 	}
 	drain(t, s)
+}
+
+// TestIngestLatencyWindowIsBounded: after 10,000 accepted batches the
+// /statz latency sample holds the latest 4,096 latencies and no more,
+// and IngestP50/P99 are the quantiles of exactly that window.
+func TestIngestLatencyWindowIsBounded(t *testing.T) {
+	const accepted = 10000
+	recs := testRecords(t)
+	s := New(Options{Seed: 3, Workers: 2, QueueDepth: accepted, SourceBudget: accepted, ShedWatermark: 1})
+	for i := 0; i < accepted; i++ {
+		if got := s.Submit("src", recs[i%len(recs):i%len(recs)+1]); !got.Accepted() {
+			t.Fatalf("batch %d: outcome %v", i, got)
+		}
+	}
+	drain(t, s)
+	st := s.Stats()
+	if st.AcceptedBatches != accepted {
+		t.Fatalf("accepted %d batches, want %d", st.AcceptedBatches, accepted)
+	}
+	window := s.latencies.sample()
+	if len(window) != latencySamples {
+		t.Fatalf("latency sample holds %d entries after %d batches, want %d", len(window), accepted, latencySamples)
+	}
+	if p50, p99 := bruteQuantiles(window); st.IngestP50 != p50 || st.IngestP99 != p99 {
+		t.Fatalf("IngestP50/P99 = %v/%v, want %v/%v over the window", st.IngestP50, st.IngestP99, p50, p99)
+	}
+
+	// The window keeps exactly the last latencySamples values, oldest
+	// first, whatever came before them.
+	var w Service
+	all := make([]float64, accepted)
+	rng := rand.New(rand.NewSource(5))
+	for i := range all {
+		all[i] = rng.Float64()
+		w.latencies.add(all[i])
+	}
+	last := all[accepted-latencySamples:]
+	if got := w.latencies.sample(); !reflect.DeepEqual(got, last) {
+		t.Fatalf("window holds %d values, want the last %d in order", len(got), latencySamples)
+	}
+	p50, p99 := w.latencyQuantiles()
+	if wantP50, wantP99 := bruteQuantiles(last); p50 != wantP50 || p99 != wantP99 {
+		t.Fatalf("quantiles %v/%v, want %v/%v over the last %d", p50, p99, wantP50, wantP99, latencySamples)
+	}
+}
+
+// bruteQuantiles returns the p50 and p99 of lats by sorting a copy.
+func bruteQuantiles(lats []float64) (p50, p99 float64) {
+	s := append([]float64(nil), lats...)
+	sort.Float64s(s)
+	return s[len(s)/2-1+len(s)%2], s[int(0.99*float64(len(s)-1))]
 }

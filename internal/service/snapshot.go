@@ -11,11 +11,15 @@ import (
 )
 
 // Snapshot is one immutable epoch of the merged analysis state. The
-// merger publishes a fresh snapshot (a clone of the live client) after
-// each merge group through an atomic pointer, so any number of readers
-// — the /report endpoint, metrics scrapers, the drain path — see a fully
-// consistent epoch without taking a lock or blocking ingestion. Every
-// snapshot is the analysis of a prefix of the accepted record log.
+// merger publishes a fresh snapshot after each merge group through an
+// atomic pointer, so any number of readers — the /report endpoint,
+// metrics scrapers, the drain path — see a fully consistent epoch
+// without taking a lock or blocking ingestion. Its Client is a
+// copy-on-write clone of the live client: it shares the live client's
+// shards, sets and fingerprint records, which later merges copy before
+// they write, so the snapshot costs the pointer arrays alone and never
+// changes. Every snapshot is the analysis of a prefix of the accepted
+// record log.
 type Snapshot struct {
 	// Epoch is the number of accepted batches folded in (equal to
 	// Batches). It only moves forward, and it skips values when several
@@ -26,7 +30,8 @@ type Snapshot struct {
 	Records int64
 	// At is the publication time (the injected clock's view).
 	At time.Time
-	// Client is the cloned client-side analysis state at this epoch.
+	// Client is the client-side analysis state at this epoch (see
+	// analysis.Client.Clone).
 	Client *analysis.Client
 }
 

@@ -19,13 +19,23 @@ import (
 // continuously load snapshots, render reports, and poll readiness and
 // stats. Under -race this proves the epoch-snapshot publication is
 // data-race free; afterwards the drained state must be conserved and
-// the final snapshot must account for every accepted record.
+// the final snapshot must account for every accepted record. A snapshot
+// taken before the load must render the same bytes after it: the
+// merges that followed share its state but may not write into it.
 func TestConcurrentSnapshotReadersDuringIngest(t *testing.T) {
 	recs := testRecords(t)
 	s := New(Options{Seed: 13, Workers: 4, QueueDepth: 256, SourceBudget: 256})
 
 	const writers = 4
 	const batchesPerWriter = 30
+	const earlyBatches = 5
+	for i := 0; i < earlyBatches; i++ {
+		s.Submit("early", recs[i*10:i*10+10])
+	}
+	waitFor(t, "early batches merged", func() bool { return s.Stats().AcceptedBatches == earlyBatches })
+	early := s.Snapshot()
+	var earlyReport bytes.Buffer
+	early.WriteReport(&earlyReport, s.matcher, 2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -75,10 +85,19 @@ func TestConcurrentSnapshotReadersDuringIngest(t *testing.T) {
 	if !st.Conserved() {
 		t.Fatalf("conservation violated after soak: %+v", st)
 	}
-	if st.SubmittedBatches != writers*batchesPerWriter {
-		t.Fatalf("submitted %d, want %d", st.SubmittedBatches, writers*batchesPerWriter)
+	if st.SubmittedBatches != writers*batchesPerWriter+earlyBatches {
+		t.Fatalf("submitted %d, want %d", st.SubmittedBatches, writers*batchesPerWriter+earlyBatches)
 	}
 	snap := s.Snapshot()
+	if snap.Epoch <= early.Epoch {
+		t.Fatalf("no merge after the early snapshot (epoch %d, final %d)", early.Epoch, snap.Epoch)
+	}
+	var again bytes.Buffer
+	early.WriteReport(&again, s.matcher, 2)
+	if !bytes.Equal(again.Bytes(), earlyReport.Bytes()) {
+		t.Fatalf("early snapshot (epoch %d) renders different bytes after %d later batches",
+			early.Epoch, snap.Epoch-early.Epoch)
+	}
 	if snap.Records != st.AcceptedRecords {
 		t.Fatalf("final snapshot has %d records, stats accepted %d", snap.Records, st.AcceptedRecords)
 	}
