@@ -3,6 +3,8 @@ package dataset
 import (
 	"bytes"
 	"testing"
+
+	"repro/internal/intern"
 )
 
 // TestRawChunksKeepEveryRecord: records written across chunk boundaries,
@@ -18,7 +20,7 @@ func TestRawChunksKeepEveryRecord(t *testing.T) {
 		}
 		rows = append(rows, Record{DeviceID: "dev", Raw: raw})
 	}
-	recs := RecordsFromRows(rows)
+	recs := RecordsFromRows(intern.NewTable(), rows)
 	if len(recs.c.raw) < 4 {
 		t.Fatalf("%d chunks; the sizes above should span at least 4", len(recs.c.raw))
 	}

@@ -1,6 +1,10 @@
 package dataset
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/intern"
+)
 
 // FromRecords reconstructs a canonical Dataset from observed records
 // alone — the ingest service's path from an accepted record stream back
@@ -30,7 +34,7 @@ func FromRecords(records []Record) *Dataset {
 		}
 		return a.SNI < b.SNI
 	})
-	ds.Records = RecordsFromRows(rows)
+	ds.Records = RecordsFromRows(intern.NewTable(), rows)
 	devByID := map[string]*Device{}
 	for _, r := range rows {
 		if devByID[r.DeviceID] != nil {

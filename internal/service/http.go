@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"repro/internal/dataset"
@@ -76,25 +78,47 @@ type wireBatch struct {
 	Records []wireRecord `json:"records"`
 }
 
-// decodeBatch decodes a POST /v1/batch body into its source and
-// records. It rejects a body whose first JSON value is not a batch, and
-// a batch without a source or without records.
+// bodyBufs recycles body read buffers: nothing decodeBatch returns
+// points into the bytes it read.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBatch reads a POST /v1/batch body to its end and decodes the
+// one batch it carries. A body in EncodeBatch's form takes scanCanonical;
+// any other body, and any body the scanner gives up on, is decoded by
+// encoding/json from the same bytes, so encoding/json decides what is
+// accepted and what it decodes to. Only whitespace may follow the batch
+// value, and the batch needs a source and at least one record.
 func decodeBatch(body io.Reader) (string, []dataset.Record, error) {
-	var batch wireBatch
-	if err := json.NewDecoder(body).Decode(&batch); err != nil {
+	b := bodyBufs.Get().(*bytes.Buffer)
+	defer bodyBufs.Put(b)
+	b.Reset()
+	if _, err := b.ReadFrom(body); err != nil {
 		return "", nil, err
 	}
-	if batch.Source == "" {
+	buf := b.Bytes()
+	source, records, end, ok := scanCanonical(buf)
+	if !ok {
+		var batch wireBatch
+		dec := json.NewDecoder(bytes.NewReader(buf))
+		if err := dec.Decode(&batch); err != nil {
+			return "", nil, err
+		}
+		source, end = batch.Source, int(dec.InputOffset())
+		records = make([]dataset.Record, len(batch.Records))
+		for i, wr := range batch.Records {
+			records[i] = wr.record()
+		}
+	}
+	if len(bytes.TrimLeft(buf[end:], " \t\r\n")) > 0 {
+		return "", nil, errors.New("trailing data after batch")
+	}
+	if source == "" {
 		return "", nil, errors.New("source required")
 	}
-	if len(batch.Records) == 0 {
+	if len(records) == 0 {
 		return "", nil, errors.New("no records")
 	}
-	records := make([]dataset.Record, len(batch.Records))
-	for i, wr := range batch.Records {
-		records[i] = wr.record()
-	}
-	return batch.Source, records, nil
+	return source, records, nil
 }
 
 // Handler wires the service's HTTP surface:
@@ -128,6 +152,7 @@ func Handler(s *Service, opts HTTPOptions) http.Handler {
 		r.Body = http.MaxBytesReader(w, r.Body, opts.MaxBodyBytes)
 		decode := startPhase(s.phases.decode)
 		source, records, err := decodeBatch(r.Body)
+		decode.stop()
 		if err != nil {
 			httpError(w, http.StatusBadRequest, fmt.Sprintf("bad batch: %v", err))
 			return
@@ -136,7 +161,6 @@ func Handler(s *Service, opts HTTPOptions) http.Handler {
 			httpError(w, http.StatusServiceUnavailable, "request deadline exceeded")
 			return
 		}
-		decode.stop()
 		outcome := s.Submit(source, records)
 		w.Header().Set("Content-Type", "application/json")
 		if !outcome.Accepted() {

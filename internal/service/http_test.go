@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -286,5 +287,119 @@ func TestPhaseMetricsAndPublications(t *testing.T) {
 	if st.AcceptedBatches != n || st.Publications < 1 || st.Publications > st.AcceptedBatches {
 		t.Fatalf("statz: %d accepted batches, %d publications; want %d and 1 <= publications <= accepted",
 			st.AcceptedBatches, st.Publications, n)
+	}
+}
+
+// postBody posts a raw body to /v1/batch and returns the status and the
+// response body.
+func postBody(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/batch", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, string(b)
+}
+
+// TestHTTPRejectsTrailingData: a body carries one batch. A second batch
+// or garbage after it is a 400 naming the trailing data, and neither
+// batch is submitted, so nothing goes unaccounted. Whitespace after the
+// batch, like the newline json.Encoder appends, is allowed.
+func TestHTTPRejectsTrailingData(t *testing.T) {
+	recs := testRecords(t)
+	s := New(Options{Seed: 25, Workers: 1, QueueDepth: 8})
+	srv := httptest.NewServer(Handler(s, HTTPOptions{}))
+	defer srv.Close()
+
+	first, err := EncodeBatch("a", recs[:1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := EncodeBatch("b", recs[1:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	join := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	for name, body := range map[string][]byte{
+		"second batch": join(first, []byte("\n"), second),
+		"garbage":      join(first, []byte("garbage")),
+	} {
+		code, msg := postBody(t, srv.URL, body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, "trailing data after batch") {
+			t.Fatalf("%s: POST = %d %q, want 400 naming the trailing data", name, code, msg)
+		}
+	}
+	if st := s.Stats(); st.SubmittedBatches != 0 {
+		t.Fatalf("rejected bodies submitted %d batches", st.SubmittedBatches)
+	}
+
+	if code, msg := postBody(t, srv.URL, join(first, []byte("\n \t\r\n"))); code != http.StatusAccepted {
+		t.Fatalf("batch with trailing whitespace: POST = %d %q, want 202", code, msg)
+	}
+	drain(t, s)
+	if st := s.Stats(); st.AcceptedBatches != 1 || st.AcceptedRecords != 1 || !st.Conserved() {
+		t.Fatalf("stats %+v, want one accepted one-record batch", st)
+	}
+}
+
+// TestFailedDecodeIsTimed: a body that fails to decode still counts in
+// service_phase_seconds{phase="decode"}, so malformed load shows in the
+// series that times decoding.
+func TestFailedDecodeIsTimed(t *testing.T) {
+	reg := obs.NewRegistry("")
+	s := New(Options{Seed: 27, Workers: 1, QueueDepth: 8, Metrics: reg})
+	srv := httptest.NewServer(Handler(s, HTTPOptions{Metrics: reg}))
+	defer srv.Close()
+
+	if code, _ := postBody(t, srv.URL, []byte(`{"source":"x","records":[`)); code != http.StatusBadRequest {
+		t.Fatalf("malformed POST = %d, want 400", code)
+	}
+	_, body := getBody(t, srv.URL+"/metrics")
+	samples, err := obs.ParseText(strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := samples[`service_phase_seconds_count{phase="decode"}`]; n != 1 {
+		t.Fatalf(`service_phase_seconds_count{phase="decode"} = %v, want 1`, n)
+	}
+	drain(t, s)
+}
+
+// BenchmarkDecodeBatch decodes the daemon-ingest workload's POST bodies:
+// the seed-20231024 paper-scale population in 25-record batches, as
+// EncodeBatch writes them (the fast path) and json.Indent-ed (the
+// encoding/json fallback). One op reads and decodes one body.
+func BenchmarkDecodeBatch(b *testing.B) {
+	rows := dataset.Generate(dataset.Config{Seed: 20231024, Scale: 1}).Records.Rows()
+	var canonical, indented [][]byte
+	for lo := 0; lo < len(rows); lo += 25 {
+		body, err := EncodeBatch(fmt.Sprintf("source-%02d", len(canonical)%4), rows[lo:min(lo+25, len(rows))])
+		if err != nil {
+			b.Fatal(err)
+		}
+		var ind bytes.Buffer
+		if err := json.Indent(&ind, body, "", "  "); err != nil {
+			b.Fatal(err)
+		}
+		canonical = append(canonical, body)
+		indented = append(indented, ind.Bytes())
+	}
+	for _, form := range []struct {
+		name   string
+		bodies [][]byte
+	}{{"canonical", canonical}, {"indented", indented}} {
+		b.Run(form.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := decodeBatch(bytes.NewReader(form.bodies[i%len(form.bodies)])); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

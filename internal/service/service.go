@@ -290,6 +290,10 @@ type Service struct {
 	shedB, shedR               atomic.Int64
 	quarantinedB, quarantinedR atomic.Int64
 
+	// ingest is the parse state every worker's NewDelta shares for the
+	// service's whole life.
+	ingest *analysis.IngestState
+
 	// phases are the service_phase_seconds{phase} series, nil without
 	// a registry: decode (HTTP body to records), parse (NewDelta), merge
 	// (one merge group) and publish (clone and store).
@@ -313,6 +317,7 @@ func New(opts Options) *Service {
 		handoff:  make(chan parsedBatch, opts.Workers),
 		flushed:  make(chan struct{}),
 		live:     analysis.NewClientEmpty(),
+		ingest:   analysis.NewIngestState(),
 		gate:     newGate(),
 	}
 	phase := func(name string) *obs.Histogram {
@@ -450,7 +455,7 @@ func (s *Service) parse(item batchItem) (delta *analysis.Delta) {
 		}
 	}
 	t := startPhase(s.phases.parse)
-	d, err := analysis.NewDelta(item.records)
+	d, err := s.ingest.NewDelta(item.records)
 	t.stop()
 	if err != nil {
 		s.quarantine(item, err.Error())
