@@ -192,6 +192,81 @@ func TestArenaConcurrentPut(t *testing.T) {
 	}
 }
 
+// TestTableOverlay pins the overlay contract a rejected batch relies
+// on: strings the base knows resolve to the base's symbols, new ones
+// are staged without touching the base, a staged string keeps its
+// symbol after the base learns it elsewhere, and Commit adds the staged
+// strings to the base.
+func TestTableOverlay(t *testing.T) {
+	base := NewTable()
+	known := base.Intern("known")
+	o := base.Overlay()
+	if got := o.Intern("known"); got != known {
+		t.Fatalf("overlay Intern(known) = %d, want the base's %d", got, known)
+	}
+	if got := o.Intern(""); got != 0 {
+		t.Fatalf("overlay Intern(\"\") = %d, want 0", got)
+	}
+	staged := o.Intern("staged")
+	if again := o.Intern("staged"); again != staged {
+		t.Fatalf("overlay Intern(staged) unstable: %d then %d", staged, again)
+	}
+	if _, ok := base.Lookup("staged"); ok || base.Len() != 2 {
+		t.Fatalf("staging wrote to the base: Len %d", base.Len())
+	}
+	if o.Str(staged) != "staged" || o.Str(known) != "known" {
+		t.Fatalf("overlay Str does not round-trip: %q, %q", o.Str(staged), o.Str(known))
+	}
+	// The base learns the string from elsewhere; the overlay keeps the
+	// symbol it gave first.
+	base.Intern("staged")
+	if got := o.Intern("staged"); got != staged {
+		t.Fatalf("overlay symbol changed from %d to %d after the base learned the string", staged, got)
+	}
+	late := o.Intern("late")
+	if o.Len() != 2 {
+		t.Fatalf("overlay Len() = %d, want 2 staged strings", o.Len())
+	}
+	o.Commit()
+	if sym, ok := base.Lookup("late"); !ok || base.Str(sym) != "late" {
+		t.Fatalf("Commit did not add the staged string to the base")
+	}
+	if base.Len() != 4 || o.Str(late) != "late" {
+		t.Fatalf("after Commit: base Len %d, overlay Str %q", base.Len(), o.Str(late))
+	}
+}
+
+// TestArenaOverlay is TestTableOverlay's counterpart for lists, which
+// are committed by putting them into the base.
+func TestArenaOverlay(t *testing.T) {
+	base := NewArena()
+	known := base.Put([]uint16{1, 2})
+	o := base.Overlay()
+	if got := o.Put([]uint16{1, 2}); got != known {
+		t.Fatalf("overlay Put(known) = %d, want the base's %d", got, known)
+	}
+	if got := o.Put(nil); got != 0 {
+		t.Fatalf("overlay Put(nil) = %d, want 0", got)
+	}
+	staged := o.Put([]uint16{3, 4, 5})
+	if base.Len() != 2 {
+		t.Fatalf("staging wrote to the base: Len %d", base.Len())
+	}
+	if got := o.Get(staged); len(got) != 3 || got[0] != 3 || got[2] != 5 {
+		t.Fatalf("overlay Get(staged) = %v", got)
+	}
+	if got := o.Get(known); len(got) != 2 || got[1] != 2 {
+		t.Fatalf("overlay Get(known) = %v", got)
+	}
+	committed := base.Put([]uint16{3, 4, 5})
+	if got := o.Put([]uint16{3, 4, 5}); got != staged {
+		t.Fatalf("overlay handle changed from %d to %d after the base learned the list", staged, got)
+	}
+	if committed == staged || base.Len() != 3 || o.Len() != 1 {
+		t.Fatalf("base handle %d, staged %d, base Len %d, overlay Len %d", committed, staged, base.Len(), o.Len())
+	}
+}
+
 // BenchmarkArenaPutHit measures the warm-path Put, which must stay
 // allocation-free for the fingerprint hot loop.
 func BenchmarkArenaPutHit(b *testing.B) {

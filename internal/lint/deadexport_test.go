@@ -58,7 +58,6 @@ var deadExportKeep = map[string]string{
 	"internal/intern.Arena.Get":                         "read side of the arena; tests check Put round-trips and dedups through it",
 	"internal/intern.Arena.Len":                         "arena size the dedup tests assert",
 	"internal/intern.Table.Len":                         "table size the intern tests assert",
-	"internal/intern.Table.Lookup":                      "non-inserting lookup the intern tests assert",
 	"internal/labdata.Dataset.SNIs":                     "distinct lab SNIs the capture tests assert",
 	"internal/lint.Loader.TypeChecks":                   "type-check counter TestSharedLoaderMemoizes proves the cache with",
 	"internal/obs.Gauge.Add":                            "relative gauge update the metrics tests exercise",
