@@ -204,6 +204,38 @@ func TestTable5ServerTied(t *testing.T) {
 	}
 }
 
+// pipeSNIRecords returns two copies of one generated record from
+// devices of two vendors, both visiting an SNI with a '|' in its SLD.
+func pipeSNIRecords(t testing.TB) []dataset.Record {
+	t.Helper()
+	rec := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.1}).Records.Rows()[0]
+	a, b := rec, rec
+	a.DeviceID, a.Vendor, a.SNI = "evil-1", "VendorA", "x.exa|mple.com"
+	b.DeviceID, b.Vendor, b.SNI = "evil-2", "VendorB", "x.exa|mple.com"
+	return []dataset.Record{a, b}
+}
+
+// TestTable5ClientSuppliedSNI renders Table 5 over two records whose
+// SNI, which clients supply, holds a '|': the row keeps the SLD whole
+// and names the one print both devices used.
+func TestTable5ClientSuppliedSNI(t *testing.T) {
+	d, err := NewDelta(pipeSNIRecords(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClientEmpty()
+	c.MergeDelta(d)
+	rows := c.Table5(2)
+	if len(rows) != 1 {
+		t.Fatalf("Table 5 has %d rows, want 1: %+v", len(rows), rows)
+	}
+	r := rows[0]
+	if r.SLD != "exa|mple.com" || r.FQDNs != 1 || r.Devices != 2 || r.PrintKey != c.FingerprintKeys()[0] ||
+		strings.Join(r.Vendors, ",") != "VendorA,VendorB" {
+		t.Fatalf("Table 5 row = %+v", r)
+	}
+}
+
 func TestServerTiedFraction(t *testing.T) {
 	c := client(t)
 	matcher := libcorpus.NewMatcher()

@@ -9,6 +9,7 @@ package analysis
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -45,8 +46,15 @@ type FingerprintInfo struct {
 // Client is the client-side analysis state, built by parsing every
 // record's wire bytes. Its indexes are copy-on-write maps read through
 // accessors, so Clone is O(1) in the state and a clone stays immutable
-// while the original keeps merging (see cowMap).
+// while the original keeps merging (see cowMap). The tables read a
+// dense index of the state, built on first use (see tableIndex).
 type Client struct {
+	sharedState
+	index indexCell
+}
+
+// sharedState is everything a Clone shares with its original.
+type sharedState struct {
 	DS *dataset.Dataset
 	// gen is the generation this Client writes under: it writes a shard
 	// or a FingerprintInfo in place only if that carries gen too.
@@ -71,7 +79,7 @@ type Client struct {
 // resident service grows by merging deltas. DS stays nil — every
 // client-side table derives from the merged observations alone.
 func NewClientEmpty() *Client {
-	return &Client{
+	return &Client{sharedState: sharedState{
 		gen:           nextGen(),
 		prints:        cowMap[string, *FingerprintInfo]{hash: hashString},
 		devicePrints:  cowMap[string, StringSet]{hash: hashString},
@@ -79,7 +87,7 @@ func NewClientEmpty() *Client {
 		deviceType:    cowMap[string, string]{hash: hashString},
 		versionCounts: cowMap[tlswire.Version, int]{hash: hashVersion},
 		sniDevices:    cowMap[string, StringSet]{hash: hashString},
-	}
+	}}
 }
 
 // Fingerprint returns the aggregate of the fingerprint with the given
@@ -153,8 +161,9 @@ type keyedSet struct {
 // SNI shard. A known FingerprintInfo is copied before its first write
 // under c's generation; a new one is adopted, which moves it out of the
 // aggregate. New keys are merged into a fresh orderedKeys slice, so a
-// clone sharing the old one never sees it change.
+// clone sharing the old one never sees it change. It drops the index.
 func (c *Client) merge(a *aggregate) {
+	c.index = indexCell{}
 	var added []string
 	for _, part := range a.prints {
 		info := c.Fingerprint(part.Key)
@@ -203,8 +212,9 @@ func (c *Client) unionInto(m *cowMap[string, StringSet], e keyedSet) {
 }
 
 // setDevice records a device's vendor and type, writing only the values
-// that change.
+// that change. It drops the index.
 func (c *Client) setDevice(id, vendor, typ string) {
+	c.index = indexCell{}
 	if old, ok := c.deviceVendor.get(id); !ok || old != vendor {
 		c.deviceVendor.set(c.gen, id, vendor)
 	}
@@ -733,31 +743,86 @@ func (c *Client) DeviceGraphForVendorType(vendor, typ string) *graph.Bipartite {
 	return g
 }
 
-// Table2 is the fingerprint vendor-degree distribution.
+// Table2 is the fingerprint vendor-degree distribution: the degrees of
+// the Figure 1 graph's fingerprint nodes.
 func (c *Client) Table2() graph.DegreeDistribution {
-	return c.VendorGraph().DegreeDistribution()
+	ix := c.tableIndex()
+	var d graph.DegreeDistribution
+	var c1, c2, c35, c5 int
+	for _, vs := range ix.printVendors {
+		switch n := len(vs); {
+		case n == 0:
+			continue
+		case n == 1:
+			c1++
+		case n == 2:
+			c2++
+		case n <= 5:
+			c35++
+		default:
+			c5++
+		}
+		d.Total++
+	}
+	if d.Total == 0 {
+		return d
+	}
+	t := float64(d.Total)
+	d.Deg1 = float64(c1) / t
+	d.Deg2 = float64(c2) / t
+	d.Deg3to5 = float64(c35) / t
+	d.DegOver5 = float64(c5) / t
+	return d
 }
 
-// DoCVendorAll returns DoC_vendor for every vendor (Figure 2, red line).
+// DoCVendorAll returns DoC_vendor for every vendor of a fingerprint
+// (Figure 2, red line): the fraction of the vendor's fingerprints that
+// no other vendor uses.
 func (c *Client) DoCVendorAll() map[string]float64 {
-	return c.VendorGraph().DoCAll()
+	ix := c.tableIndex()
+	prints := make([]int, len(ix.vendors))
+	solely := make([]int, len(ix.vendors))
+	for _, vs := range ix.printVendors {
+		for _, v := range vs {
+			prints[v]++
+			if len(vs) == 1 {
+				solely[v]++
+			}
+		}
+	}
+	out := map[string]float64{}
+	for v, n := range prints {
+		if n > 0 {
+			out[ix.vendors[v]] = float64(solely[v]) / float64(n)
+		}
+	}
+	return out
 }
 
 // DoCDeviceAll returns DoC_device (the mean per-device DoC within each
 // vendor; Figure 2, blue line). Every vendor of a known device is a key; one
-// without a printed device maps to 0.
+// without a printed device maps to 0. Each mean sums in device-ID
+// order (a vendor's rows are in ID order), so it is the same to the bit
+// on every call.
 func (c *Client) DoCDeviceAll() map[string]float64 {
-	sums := map[string]float64{}
-	counts := map[string]int{}
-	for _, d := range c.deviceDoCs(func(string) bool { return true }) {
-		sums[d.vendor] += d.doc
-		counts[d.vendor]++
+	ix := c.tableIndex()
+	doc, printed := ix.deviceDoCs()
+	sums := make([]float64, len(ix.vendors))
+	counts := make([]int, len(ix.vendors))
+	for r, d := range doc {
+		if printed[r] {
+			sums[ix.devVendor[r]] += d
+			counts[ix.devVendor[r]]++
+		}
 	}
 	out := map[string]float64{}
-	for _, vendor := range c.vendorNames() {
-		out[vendor] = 0
-		if n := counts[vendor]; n > 0 {
-			out[vendor] = sums[vendor] / float64(n)
+	for v, name := range ix.vendors {
+		if !ix.deviceVendor[v] {
+			continue
+		}
+		out[name] = 0
+		if counts[v] > 0 {
+			out[name] = sums[v] / float64(counts[v])
 		}
 	}
 	return out
@@ -766,62 +831,18 @@ func (c *Client) DoCDeviceAll() map[string]float64 {
 // DeviceDoCsForVendor returns the per-device DoC values of one vendor
 // (Figure 10 rows), in device-ID order.
 func (c *Client) DeviceDoCsForVendor(vendor string) []float64 {
-	devs := c.deviceDoCs(func(v string) bool { return v == vendor })
-	out := make([]float64, len(devs))
-	for i, d := range devs {
-		out[i] = d.doc
+	ix := c.tableIndex()
+	v, ok := slices.BinarySearch(ix.vendors, vendor)
+	out := []float64{}
+	if !ok {
+		return out
 	}
-	return out
-}
-
-// deviceDoC is one device's degree of customization within its vendor.
-type deviceDoC struct {
-	id, vendor string
-	keys       StringSet
-	doc        float64
-}
-
-// deviceDoCs computes, in one pass over devicePrints, the DoC of every
-// device whose vendor keep accepts: the fraction of the device's
-// fingerprints that no other device of its vendor uses (graph.DoC on the
-// vendor's device-fingerprint graph). Devices come back sorted by ID, so
-// a sum over them is the same to the bit on every call.
-func (c *Client) deviceDoCs(keep func(vendor string) bool) []deviceDoC {
-	type use struct{ vendor, key string }
-	users := map[use]int{}
-	var devs []deviceDoC
-	c.devicePrints.each(func(id string, keys StringSet) {
-		vendor := c.DeviceVendor(id)
-		if !keep(vendor) {
-			return
+	doc, printed := ix.deviceDoCs()
+	for r := ix.vendorRows[v]; r < ix.vendorRows[v+1]; r++ {
+		if printed[r] {
+			out = append(out, doc[r])
 		}
-		devs = append(devs, deviceDoC{id: id, vendor: vendor, keys: keys})
-		for _, key := range keys {
-			users[use{vendor, key}]++
-		}
-	})
-	sort.Slice(devs, func(i, j int) bool { return devs[i].id < devs[j].id })
-	for i := range devs {
-		d := &devs[i]
-		solely := 0
-		for _, key := range d.keys {
-			if users[use{d.vendor, key}] == 1 {
-				solely++
-			}
-		}
-		d.doc = float64(solely) / float64(len(d.keys))
 	}
-	return devs
-}
-
-func (c *Client) vendorNames() []string {
-	set := map[string]bool{}
-	c.deviceVendor.each(func(_, v string) { set[v] = true })
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -839,34 +860,36 @@ type Table3Row struct {
 func (c *Client) Table3(topN int) []Table3Row {
 	// One pass over the fingerprints: each print's devices are counted
 	// per vendor once, then credited to every vendor that uses it.
+	ix := c.tableIndex()
 	type tally struct{ prints, shared10, single int }
-	perVendor := map[string]*tally{}
-	devices := map[string]int{} // vendor -> the print's devices of that vendor
-	for _, key := range c.orderedKeys {
-		info := c.Fingerprint(key)
-		clear(devices)
-		for _, dev := range info.Devices {
-			devices[c.DeviceVendor(dev)]++
+	perVendor := make([]tally, len(ix.vendors))
+	devices := make([]int, len(ix.vendors)) // the print's devices per vendor
+	for p, vs := range ix.printVendors {
+		rows := ix.printDevs[p]
+		for _, r := range rows {
+			devices[ix.devVendor[r]]++
 		}
-		for _, vendor := range info.Vendors {
-			t := perVendor[vendor]
-			if t == nil {
-				t = &tally{}
-				perVendor[vendor] = t
-			}
+		for _, v := range vs {
+			t := &perVendor[v]
 			t.prints++
-			switch n := devices[vendor]; {
+			switch n := devices[v]; {
 			case n >= 10:
 				t.shared10++
 			case n == 1:
 				t.single++
 			}
 		}
+		for _, r := range rows {
+			devices[ix.devVendor[r]] = 0
+		}
 	}
-	rows := make([]Table3Row, 0, len(perVendor))
-	for vendor, t := range perVendor {
+	var rows []Table3Row
+	for v, t := range perVendor {
+		if t.prints == 0 {
+			continue
+		}
 		rows = append(rows, Table3Row{
-			Vendor:          vendor,
+			Vendor:          ix.vendors[v],
 			NumFingerprints: t.prints,
 			SharedBy10Plus:  float64(t.shared10) / float64(t.prints),
 			UsedBySingleDev: float64(t.single) / float64(t.prints),
@@ -884,9 +907,35 @@ func (c *Client) Table3(topN int) []Table3Row {
 	return rows
 }
 
-// Table4 returns the vendor tuples with Jaccard similarity >= threshold.
+// Table4 returns the vendor tuples with Jaccard similarity >= threshold
+// over the vendors' fingerprint sets, most similar first.
 func (c *Client) Table4(threshold float64) []graph.SimilarPair {
-	return c.VendorGraph().SimilarPairs(threshold)
+	ix := c.tableIndex()
+	adj := ix.vendorPrints()
+	var out []graph.SimilarPair
+	for i := range adj {
+		if len(adj[i]) == 0 {
+			continue
+		}
+		for j := i + 1; j < len(adj); j++ {
+			if len(adj[j]) == 0 {
+				continue
+			}
+			if s := graph.JaccardSorted(adj[i], adj[j]); s >= threshold {
+				out = append(out, graph.SimilarPair{A: ix.vendors[i], B: ix.vendors[j], Similarity: s})
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Similarity != out[j].Similarity {
+			return out[i].Similarity > out[j].Similarity
+		}
+		if out[i].A != out[j].A {
+			return out[i].A < out[j].A
+		}
+		return out[i].B < out[j].B
+	})
+	return out
 }
 
 // Table5Row is one server-tied fingerprint row (Section 4.4).
@@ -903,74 +952,77 @@ type Table5Row struct {
 // fingerprint used by devices from multiple vendors. minDevices excludes
 // one-device outliers (the paper requires >= 2).
 func (c *Client) Table5(minDevices int) []Table5Row {
-	// SNI -> set of fingerprint keys seen toward it.
-	sniPrints := map[string]map[string]bool{}
-	for _, key := range c.orderedKeys {
-		for _, sni := range c.Fingerprint(key).SNIs {
-			if sniPrints[sni] == nil {
-				sniPrints[sni] = map[string]bool{}
+	ix := c.tableIndex()
+	// tiedTo maps each SNI to the one print seen toward it, or to -1
+	// once a second print is.
+	tiedTo := map[string]int32{}
+	for p, info := range ix.infos {
+		for _, sni := range info.SNIs {
+			if q, ok := tiedTo[sni]; !ok {
+				tiedTo[sni] = int32(p)
+			} else if q != int32(p) {
+				tiedTo[sni] = -1
 			}
-			sniPrints[sni][key] = true
 		}
 	}
-	// Keep SNIs tied to exactly one fingerprint.
-	type agg struct {
-		fqdns   int
-		devices map[string]bool
-		vendors map[string]bool
+	// The SNI is a client-supplied string, so the group key keeps the
+	// SLD and the print apart rather than joining them into one string.
+	type tie struct {
+		sld   string
+		print int32
 	}
-	tied := map[string]*agg{} // "sld|printKey" -> agg
-	for sni, prints := range sniPrints {
-		if len(prints) != 1 {
-			continue
-		}
-		var key string
-		for k := range prints {
-			key = k
-		}
-		id := SLDOf(sni) + "|" + key
-		a := tied[id]
-		if a == nil {
-			a = &agg{devices: map[string]bool{}, vendors: map[string]bool{}}
-			tied[id] = a
-		}
-		a.fqdns++
-		// Count the devices that actually visited this server (all of
-		// them used the tied fingerprint by construction).
-		for _, d := range c.SNIDevices(sni) {
-			a.devices[d] = true
-			a.vendors[c.DeviceVendor(d)] = true
+	groups := map[tie][]string{}
+	for sni, p := range tiedTo {
+		if p >= 0 {
+			k := tie{SLDOf(sni), p}
+			groups[k] = append(groups[k], sni)
 		}
 	}
+	// Count the devices that actually visited a group's servers (all of
+	// them used the tied fingerprint by construction); seen marks each
+	// device and vendor with 1 + the group that last counted it.
+	seenDev := make([]int32, len(ix.devVendor))
+	seenVendor := make([]int32, len(ix.vendors))
 	var rows []Table5Row
-	for id, a := range tied {
-		if len(a.vendors) < 2 || len(a.devices) < minDevices {
-			continue
-		}
-		var sld, key string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				sld, key = id[:i], id[i+1:]
-				break
+	mark := int32(0)
+	for k, snis := range groups {
+		mark++
+		devices := 0
+		var vendors []int32
+		for _, sni := range snis {
+			for _, d := range c.SNIDevices(sni) {
+				r := ix.row(d)
+				if seenDev[r] == mark {
+					continue
+				}
+				seenDev[r] = mark
+				devices++
+				if v := ix.devVendor[r]; seenVendor[v] != mark {
+					seenVendor[v] = mark
+					vendors = append(vendors, v)
+				}
 			}
 		}
-		info := c.Fingerprint(key)
+		if len(vendors) < 2 || devices < minDevices {
+			continue
+		}
+		info := ix.infos[k.print]
 		var vulns []string
 		for _, v := range info.Print.VulnClasses() {
 			vulns = append(vulns, v.String())
 		}
-		vendors := make([]string, 0, len(a.vendors))
-		for v := range a.vendors {
-			vendors = append(vendors, v)
+		slices.Sort(vendors)
+		names := make([]string, len(vendors))
+		for i, v := range vendors {
+			names[i] = ix.vendors[v]
 		}
-		sort.Strings(vendors)
 		rows = append(rows, Table5Row{
-			SLD:        sld,
-			FQDNs:      a.fqdns,
+			SLD:        k.sld,
+			FQDNs:      len(snis),
 			VulnLabels: vulns,
-			Devices:    len(a.devices),
-			Vendors:    vendors,
-			PrintKey:   key,
+			Devices:    devices,
+			Vendors:    names,
+			PrintKey:   info.Key,
 		})
 	}
 	sort.Slice(rows, func(i, j int) bool {
@@ -1042,20 +1094,20 @@ type VulnStats struct {
 
 // Vulnerabilities computes the Section 4.2 statistics.
 func (c *Client) Vulnerabilities() VulnStats {
+	ix := c.tableIndex()
 	st := VulnStats{
 		TotalFingerprints: c.prints.len(),
 		ByClass:           map[ciphersuite.VulnClass]int{},
 	}
-	awfulVendors := map[string]bool{}
-	awfulDevices := map[string]bool{}
-	for _, key := range c.orderedKeys {
-		info := c.Fingerprint(key)
+	awfulVendors := make([]bool, len(ix.vendors))
+	awfulDevices := make([]bool, len(ix.devVendor))
+	for p, info := range ix.infos {
 		classes := info.Print.VulnClasses()
 		if len(classes) == 0 {
 			continue
 		}
 		st.WithVulnerable++
-		if len(info.Devices) >= 2 {
+		if len(ix.printDevs[p]) >= 2 {
 			st.VulnUsedByMultipleDevices++
 		}
 		awful := false
@@ -1069,19 +1121,22 @@ func (c *Client) Vulnerabilities() VulnStats {
 		}
 		if awful {
 			st.AwfulFingerprints++
-			for _, d := range info.Devices {
-				awfulDevices[d] = true
+			for _, r := range ix.printDevs[p] {
+				if !awfulDevices[r] {
+					awfulDevices[r] = true
+					st.AwfulDevices++
+				}
 			}
-			for _, v := range info.Vendors {
+			for _, v := range ix.printVendors[p] {
 				awfulVendors[v] = true
 			}
 		}
 	}
-	st.AwfulDevices = len(awfulDevices)
-	for v := range awfulVendors {
-		st.AwfulVendors = append(st.AwfulVendors, v)
+	for v, awful := range awfulVendors {
+		if awful {
+			st.AwfulVendors = append(st.AwfulVendors, ix.vendors[v])
+		}
 	}
-	sort.Strings(st.AwfulVendors)
 	return st
 }
 

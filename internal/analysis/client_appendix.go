@@ -74,93 +74,36 @@ type Table11Row struct {
 	PercentOutdated float64
 }
 
-// suiteList is one distinct ciphersuite list and the devices proposing
-// it. Each of its devices is one {device, ciphersuite list} tuple,
-// Appendix B's unit of analysis (5,827 in the paper): the list stands
-// for len(devices) tuples, vendors[i].n of them from vendors[i].vendor.
-type suiteList struct {
-	suites  []uint16
-	devices StringSet
-	// vendors is sorted by vendor.
-	vendors []vendorCount
-}
-
-// vendorCount is how many of a list's devices belong to one vendor.
-type vendorCount struct {
-	vendor string
-	n      int
-}
-
-// suiteLists groups the {device, ciphersuite list} tuples by list in
-// one pass over the fingerprints. Every Appendix B value depends on the
-// list alone, so the tables evaluate it once per list and weight it by
-// the vendor counts. A device that reaches one list through several
-// prints (same suites, other extensions or version) is still one tuple:
-// the prints' device sets are unioned, not concatenated.
-func (c *Client) suiteLists() []suiteList {
-	byKey := map[string]int{}
-	var lists []suiteList
-	var key []byte
-	for _, k := range c.orderedKeys {
-		info := c.Fingerprint(k)
-		key = key[:0]
-		for _, cs := range info.Print.CipherSuites {
-			key = append(key, byte(cs>>8), byte(cs))
-		}
-		i, ok := byKey[string(key)]
-		if !ok {
-			i = len(lists)
-			byKey[string(key)] = i
-			lists = append(lists, suiteList{suites: info.Print.CipherSuites})
-		}
-		lists[i].devices = unionSets(lists[i].devices, info.Devices)
-	}
-	var vendors []string
-	for i := range lists {
-		vendors = vendors[:0]
-		for _, dev := range lists[i].devices {
-			vendors = append(vendors, c.DeviceVendor(dev))
-		}
-		sort.Strings(vendors)
-		for j := 0; j < len(vendors); {
-			k := j + 1
-			for k < len(vendors) && vendors[k] == vendors[j] {
-				k++
-			}
-			lists[i].vendors = append(lists[i].vendors, vendorCount{vendors[j], k - j})
-			j = k
-		}
-	}
-	return lists
-}
-
 // Table11 runs the semantics-aware matcher over every {device, suites}
 // tuple, matching each distinct list once.
 func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
+	ix := c.tableIndex()
 	type acc struct {
+		present  bool
 		tuples   int
-		vendors  map[string]bool
+		vendors  int
 		outdated int
 	}
-	accs := map[fingerprint.MatchCategory]*acc{}
+	var accs [fingerprint.ExactCiphersuites + 1]acc
+	// seen[cat*len(vendors)+v] marks vendor v as counted in cat.
+	seen := make([]bool, len(accs)*len(ix.vendors))
 	total := 0
-	for _, l := range c.suiteLists() {
+	for _, l := range ix.lists {
 		// One match per distinct list; the matcher's memo is shared with
 		// Figure 8, which matches the same lists.
 		m := matcher.MatchSemantics(l.suites)
-		a := accs[m.Category]
-		if a == nil {
-			a = &acc{vendors: map[string]bool{}}
-			accs[m.Category] = a
-		}
-		n := len(l.devices)
-		total += n
-		a.tuples += n
+		a := &accs[m.Category]
+		a.present = true
+		total += l.devices
+		a.tuples += l.devices
 		for _, vc := range l.vendors {
-			a.vendors[vc.vendor] = true
+			if i := int(m.Category)*len(ix.vendors) + int(vc.v); !seen[i] {
+				seen[i] = true
+				a.vendors++
+			}
 		}
 		if m.Category != fingerprint.Customization && !m.Library.SupportedIn2020 {
-			a.outdated += n
+			a.outdated += l.devices
 		}
 	}
 	cats := []fingerprint.MatchCategory{
@@ -173,7 +116,7 @@ func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
 	rows := make([]Table11Row, 0, len(cats))
 	for _, cat := range cats {
 		a := accs[cat]
-		if a == nil {
+		if !a.present {
 			rows = append(rows, Table11Row{Category: cat})
 			continue
 		}
@@ -181,7 +124,7 @@ func (c *Client) Table11(matcher *fingerprint.Matcher) []Table11Row {
 			Category:     cat,
 			Tuples:       a.tuples,
 			PercentTotal: float64(a.tuples) / float64(total),
-			Vendors:      len(a.vendors),
+			Vendors:      a.vendors,
 		}
 		if a.tuples > 0 {
 			row.PercentOutdated = float64(a.outdated) / float64(a.tuples)
@@ -210,7 +153,7 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 		out[i].Low = float64(i) / float64(buckets)
 		out[i].High = float64(i+1) / float64(buckets)
 	}
-	for _, l := range c.suiteLists() {
+	for _, l := range c.tableIndex().lists {
 		m := matcher.MatchSemantics(l.suites)
 		if m.Category != fingerprint.SameComponent && m.Category != fingerprint.SimilarComponent {
 			continue
@@ -220,9 +163,9 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 			idx = buckets - 1
 		}
 		if m.Category == fingerprint.SameComponent {
-			out[idx].SameComp += len(l.devices)
+			out[idx].SameComp += l.devices
 		} else {
-			out[idx].SimComp += len(l.devices)
+			out[idx].SimComp += l.devices
 		}
 	}
 	return out
@@ -265,14 +208,15 @@ type Figure9Row struct {
 
 // Figure9 computes vulnerable-component inclusion per vendor.
 func (c *Client) Figure9() []Figure9Row {
-	rows := map[string]*Figure9Row{}
-	for _, l := range c.suiteLists() {
+	ix := c.tableIndex()
+	rows := make([]*Figure9Row, len(ix.vendors))
+	for _, l := range ix.lists {
 		classes := ciphersuite.VulnClasses(l.suites)
 		for _, vc := range l.vendors {
-			row := rows[vc.vendor]
+			row := rows[vc.v]
 			if row == nil {
-				row = &Figure9Row{Vendor: vc.vendor, ByClass: map[ciphersuite.VulnClass]int{}}
-				rows[vc.vendor] = row
+				row = &Figure9Row{Vendor: ix.vendors[vc.v], ByClass: map[ciphersuite.VulnClass]int{}}
+				rows[vc.v] = row
 			}
 			row.TupleCount += vc.n
 			for _, cl := range classes {
@@ -280,11 +224,18 @@ func (c *Client) Figure9() []Figure9Row {
 			}
 		}
 	}
-	out := make([]Figure9Row, 0, len(rows))
+	return vendorRows(rows)
+}
+
+// vendorRows returns the rows a per-vendor table filled, in vendor
+// index order, which is name order.
+func vendorRows[R any](rows []*R) []R {
+	out := make([]R, 0, len(rows))
 	for _, r := range rows {
-		out = append(out, *r)
+		if r != nil {
+			out = append(out, *r)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
 	return out
 }
 
@@ -304,8 +255,9 @@ type Figure11Row struct {
 // Figure11 computes the lowest index of vulnerable ciphersuites per
 // vendor (Appendix B.7).
 func (c *Client) Figure11() []Figure11Row {
-	rows := map[string]*Figure11Row{}
-	for _, l := range c.suiteLists() {
+	ix := c.tableIndex()
+	rows := make([]*Figure11Row, len(ix.vendors))
+	for _, l := range ix.lists {
 		// Skip a leading renegotiation SCSV, as the appendix does.
 		effective := l.suites
 		if len(effective) > 0 && effective[0] == ciphersuite.SCSVRenegotiation {
@@ -313,10 +265,10 @@ func (c *Client) Figure11() []Figure11Row {
 		}
 		idx := ciphersuite.LowestVulnerableIndex(effective)
 		for _, vc := range l.vendors {
-			row := rows[vc.vendor]
+			row := rows[vc.v]
 			if row == nil {
-				row = &Figure11Row{Vendor: vc.vendor}
-				rows[vc.vendor] = row
+				row = &Figure11Row{Vendor: ix.vendors[vc.v]}
+				rows[vc.v] = row
 			}
 			row.Tuples += vc.n
 			if idx < 0 {
@@ -330,13 +282,12 @@ func (c *Client) Figure11() []Figure11Row {
 			}
 		}
 	}
-	out := make([]Figure11Row, 0, len(rows))
 	for _, r := range rows {
-		sort.Ints(r.Indices)
-		out = append(out, *r)
+		if r != nil {
+			sort.Ints(r.Indices)
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
-	return out
+	return vendorRows(rows)
 }
 
 // Figure12Row decomposes each vendor's most-preferred ciphersuites.
@@ -353,8 +304,9 @@ type Figure12Row struct {
 // (Appendix B.8). Tuples led by the renegotiation SCSV are excluded, as
 // in the paper.
 func (c *Client) Figure12() []Figure12Row {
-	rows := map[string]*Figure12Row{}
-	for _, l := range c.suiteLists() {
+	ix := c.tableIndex()
+	rows := make([]*Figure12Row, len(ix.vendors))
+	for _, l := range ix.lists {
 		if len(l.suites) == 0 || l.suites[0] == ciphersuite.SCSVRenegotiation {
 			continue
 		}
@@ -364,27 +316,22 @@ func (c *Client) Figure12() []Figure12Row {
 		}
 		k, ci, m := first.Components()
 		for _, vc := range l.vendors {
-			row := rows[vc.vendor]
+			row := rows[vc.v]
 			if row == nil {
 				row = &Figure12Row{
-					Vendor: vc.vendor,
+					Vendor: ix.vendors[vc.v],
 					Kex:    map[string]int{},
 					Cipher: map[string]int{},
 					MAC:    map[string]int{},
 				}
-				rows[vc.vendor] = row
+				rows[vc.v] = row
 			}
 			row.Kex[k] += vc.n
 			row.Cipher[ci] += vc.n
 			row.MAC[m] += vc.n
 		}
 	}
-	out := make([]Figure12Row, 0, len(rows))
-	for _, r := range rows {
-		out = append(out, *r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Vendor < out[j].Vendor })
-	return out
+	return vendorRows(rows)
 }
 
 // ExtensionCensus reports device/vendor counts for OCSP status requests,
@@ -398,61 +345,54 @@ type ExtensionCensus struct {
 
 // Census computes the extension/feature censuses.
 func (c *Client) Census() ExtensionCensus {
-	type devFlags struct {
-		ocsp, gSuite, gExt, scsv bool
-	}
-	flags := map[string]*devFlags{}
-	get := func(dev string) *devFlags {
-		f := flags[dev]
-		if f == nil {
-			f = &devFlags{}
-			flags[dev] = f
-		}
-		return f
-	}
-	for _, key := range c.orderedKeys {
-		info := c.Fingerprint(key)
-		hasOCSP := false
+	const (
+		ocsp = 1 << iota
+		greaseSuite
+		greaseExt
+		scsv
+	)
+	ix := c.tableIndex()
+	flags := make([]uint8, len(ix.devVendor))
+	for p, info := range ix.infos {
+		var f uint8
 		for _, e := range info.Print.Extensions {
 			if e == uint16(tlswire.ExtStatusRequest) {
-				hasOCSP = true
+				f |= ocsp
 			}
 		}
-		gSuite := info.Print.HasGREASESuites()
-		gExt := info.Print.HasGREASEExtensions()
-		scsv := info.Print.ProposesFallbackSCSV()
-		for _, dev := range info.Devices {
-			f := get(dev)
-			f.ocsp = f.ocsp || hasOCSP
-			f.gSuite = f.gSuite || gSuite
-			f.gExt = f.gExt || gExt
-			f.scsv = f.scsv || scsv
+		if info.Print.HasGREASESuites() {
+			f |= greaseSuite
+		}
+		if info.Print.HasGREASEExtensions() {
+			f |= greaseExt
+		}
+		if info.Print.ProposesFallbackSCSV() {
+			f |= scsv
+		}
+		for _, r := range ix.printDevs[p] {
+			flags[r] |= f
 		}
 	}
-	var out ExtensionCensus
-	vOCSP, vGS, vGE, vSCSV := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
-	for dev, f := range flags {
-		vendor := c.DeviceVendor(dev)
-		if f.ocsp {
-			out.OCSPDevices++
-			vOCSP[vendor] = true
-		}
-		if f.gSuite {
-			out.GREASESuiteDevices++
-			vGS[vendor] = true
-		}
-		if f.gExt {
-			out.GREASEExtDevices++
-			vGE[vendor] = true
-		}
-		if f.scsv {
-			out.FallbackSCSVDevices++
-			vSCSV[vendor] = true
+	// devices[b] and vendors[b] count the devices and vendors with flag
+	// bit b; seen[b*len(vendors)+v] marks vendor v as counted for it.
+	var devices, vendors [4]int
+	seen := make([]bool, 4*len(ix.vendors))
+	for r, f := range flags {
+		for b := 0; b < 4; b++ {
+			if f&(1<<b) == 0 {
+				continue
+			}
+			devices[b]++
+			if i := b*len(ix.vendors) + int(ix.devVendor[r]); !seen[i] {
+				seen[i] = true
+				vendors[b]++
+			}
 		}
 	}
-	out.OCSPVendors = len(vOCSP)
-	out.GREASESuiteVendors = len(vGS)
-	out.GREASEExtVendors = len(vGE)
-	out.FallbackSCSVVendors = len(vSCSV)
-	return out
+	return ExtensionCensus{
+		OCSPDevices: devices[0], OCSPVendors: vendors[0],
+		GREASESuiteDevices: devices[1], GREASESuiteVendors: vendors[1],
+		GREASEExtDevices: devices[2], GREASEExtVendors: vendors[2],
+		FallbackSCSVDevices: devices[3], FallbackSCSVVendors: vendors[3],
+	}
 }

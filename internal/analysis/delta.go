@@ -88,10 +88,10 @@ func (c *Client) MergeDelta(d *Delta) {
 // so its cost does not grow with the state: both Clients then share
 // every shard, FingerprintInfo, StringSet and orderedKeys, and each gets
 // a fresh generation, so whichever writes first copies the shard or
-// info it writes. Merges never modify a shared value in place.
+// info it writes. Merges never modify a shared value in place. The
+// clone starts without a table index and builds its own on first read.
 func (c *Client) Clone() *Client {
-	out := new(Client)
-	*out = *c
+	out := &Client{sharedState: c.sharedState}
 	out.gen = nextGen()
 	c.gen = nextGen()
 	return out

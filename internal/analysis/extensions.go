@@ -29,35 +29,19 @@ func (f ExtensionFrequency) Delta() float64 { return f.DeviceShare - f.CorpusSha
 // on either side, sorted by |delta| descending.
 func (c *Client) ExtensionFrequencies(matcher *fingerprint.Matcher) []ExtensionFrequency {
 	devCount := map[tlswire.ExtensionType]int{}
-	for _, key := range c.orderedKeys {
-		seen := map[tlswire.ExtensionType]bool{}
+	// seen[e] is 1 + the last print that counted e.
+	seen := map[tlswire.ExtensionType]int{}
+	for i, key := range c.orderedKeys {
 		for _, e := range c.Fingerprint(key).Print.Extensions {
 			et := tlswire.ExtensionType(e)
-			if tlswire.IsGREASEExtension(e) || seen[et] {
+			if tlswire.IsGREASEExtension(e) || seen[et] == i+1 {
 				continue
 			}
-			seen[et] = true
+			seen[et] = i + 1
 			devCount[et]++
 		}
 	}
-	corpusCount := map[tlswire.ExtensionType]int{}
-	corpusPrints := map[string]bool{}
-	for _, entry := range matcher.Entries() {
-		key := entry.Print.Key()
-		if corpusPrints[key] {
-			continue
-		}
-		corpusPrints[key] = true
-		seen := map[tlswire.ExtensionType]bool{}
-		for _, e := range entry.Print.Extensions {
-			et := tlswire.ExtensionType(e)
-			if seen[et] {
-				continue
-			}
-			seen[et] = true
-			corpusCount[et]++
-		}
-	}
+	corpusCount, corpusPrints := matcher.ExtensionCounts()
 	all := map[tlswire.ExtensionType]bool{}
 	for e := range devCount {
 		all[e] = true
@@ -71,8 +55,8 @@ func (c *Client) ExtensionFrequencies(matcher *fingerprint.Matcher) []ExtensionF
 		if c.prints.len() > 0 {
 			f.DeviceShare = float64(devCount[e]) / float64(c.prints.len())
 		}
-		if len(corpusPrints) > 0 {
-			f.CorpusShare = float64(corpusCount[e]) / float64(len(corpusPrints))
+		if corpusPrints > 0 {
+			f.CorpusShare = float64(corpusCount[e]) / float64(corpusPrints)
 		}
 		out = append(out, f)
 	}

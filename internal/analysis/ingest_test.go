@@ -400,7 +400,7 @@ func BenchmarkMatchSemanticsCorpus(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	lists := c.suiteLists()
+	lists := c.tableIndex().lists
 	b.Run("cold", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {

@@ -431,12 +431,16 @@ func (s *Server) domainRows(filter func(*CertRecord) bool) []DomainRow {
 		public   bool
 		notAfter time.Time
 	}
-	rows := map[string]*agg{}
+	// The SLD comes from a client-supplied SNI and the issuer from a
+	// certificate, so the key keeps them apart rather than joining them
+	// into one string.
+	type domain struct{ sld, issuer string }
+	rows := map[domain]*agg{}
 	for _, r := range s.Records {
 		if !filter(r) {
 			continue
 		}
-		id := r.SLD + "|" + r.IssuerOrg
+		id := domain{r.SLD, r.IssuerOrg}
 		a := rows[id]
 		if a == nil {
 			a = &agg{
@@ -464,17 +468,10 @@ func (s *Server) domainRows(filter func(*CertRecord) bool) []DomainRow {
 	}
 	out := make([]DomainRow, 0, len(rows))
 	for id, a := range rows {
-		var sld, issuer string
-		for i := 0; i < len(id); i++ {
-			if id[i] == '|' {
-				sld, issuer = id[:i], id[i+1:]
-				break
-			}
-		}
 		row := DomainRow{
-			SLD:          sld,
+			SLD:          id.sld,
 			FQDNs:        a.fqdns,
-			IssuerOrg:    issuer,
+			IssuerOrg:    id.issuer,
 			IssuerPublic: a.public,
 			Devices:      len(a.devices),
 			NotAfter:     a.notAfter,

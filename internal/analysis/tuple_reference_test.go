@@ -14,14 +14,17 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/libcorpus"
+	"repro/internal/tlswire"
 )
 
-// This file keeps test-only references for the Appendix B tables and
-// DoC_device. The references read the definitions directly: every table
-// walks each {device, ciphersuite list} tuple, and DoC_device builds one
-// device-fingerprint graph per vendor. The production code groups the
-// tuples by list (suiteLists) and computes DoC_device in one pass; the
-// tests below require the same rows and the same bits.
+// This file keeps test-only references for the client tables. The
+// references read the definitions directly over the string-keyed state:
+// the Appendix B tables walk each {device, ciphersuite list} tuple,
+// DoC_device builds one device-fingerprint graph per vendor, DoC_vendor
+// and Tables 2 and 4 read the Figure 1 graph, and Tables 3 and 5,
+// VulnStats and Census count in string-keyed maps. The production code
+// reads the Client's integer index (tableIndex); the tests below
+// require the same rows and the same bits.
 
 // refDeviceSuiteTuples enumerates the distinct {device, ciphersuite list}
 // tuples (Appendix B's 5,827 unit of analysis).
@@ -278,6 +281,18 @@ func (c *Client) refDeviceDoCsForVendor(vendor string) []float64 {
 	return out
 }
 
+// vendorNames returns the vendors of the known devices, sorted.
+func (c *Client) vendorNames() []string {
+	set := map[string]bool{}
+	c.deviceVendor.each(func(_, v string) { set[v] = true })
+	out := make([]string, 0, len(set))
+	for v := range set {
+		out = append(out, v)
+	}
+	sort.Strings(out)
+	return out
+}
+
 // refDoCDeviceAll is DoC_device from one device-fingerprint graph per
 // vendor, with each vendor's per-device DoCs summed in device-ID order.
 func (c *Client) refDoCDeviceAll() map[string]float64 {
@@ -294,6 +309,245 @@ func (c *Client) refDoCDeviceAll() map[string]float64 {
 		}
 		out[vendor] = sum / float64(len(docs))
 	}
+	return out
+}
+
+// refTable2 is Table 2 from the Figure 1 graph.
+func (c *Client) refTable2() graph.DegreeDistribution {
+	return c.VendorGraph().DegreeDistribution()
+}
+
+// refDoCVendorAll is DoC_vendor from the Figure 1 graph.
+func (c *Client) refDoCVendorAll() map[string]float64 {
+	return c.VendorGraph().DoCAll()
+}
+
+// refTable4 is Table 4 from the Figure 1 graph.
+func (c *Client) refTable4(threshold float64) []graph.SimilarPair {
+	return c.VendorGraph().SimilarPairs(threshold)
+}
+
+// refTable3 computes the Table 3 rows from string-keyed maps.
+func (c *Client) refTable3(topN int) []Table3Row {
+	type tally struct{ prints, shared10, single int }
+	perVendor := map[string]*tally{}
+	devices := map[string]int{}
+	for _, key := range c.orderedKeys {
+		info := c.Fingerprint(key)
+		clear(devices)
+		for _, dev := range info.Devices {
+			devices[c.DeviceVendor(dev)]++
+		}
+		for _, vendor := range info.Vendors {
+			t := perVendor[vendor]
+			if t == nil {
+				t = &tally{}
+				perVendor[vendor] = t
+			}
+			t.prints++
+			switch n := devices[vendor]; {
+			case n >= 10:
+				t.shared10++
+			case n == 1:
+				t.single++
+			}
+		}
+	}
+	rows := make([]Table3Row, 0, len(perVendor))
+	for vendor, t := range perVendor {
+		rows = append(rows, Table3Row{
+			Vendor:          vendor,
+			NumFingerprints: t.prints,
+			SharedBy10Plus:  float64(t.shared10) / float64(t.prints),
+			UsedBySingleDev: float64(t.single) / float64(t.prints),
+		})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].NumFingerprints != rows[j].NumFingerprints {
+			return rows[i].NumFingerprints > rows[j].NumFingerprints
+		}
+		return rows[i].Vendor < rows[j].Vendor
+	})
+	if topN > 0 && len(rows) > topN {
+		rows = rows[:topN]
+	}
+	return rows
+}
+
+// refTable5 computes the Table 5 rows from string-keyed maps, grouping
+// tied SNIs by a comparable {SLD, print key} pair.
+func (c *Client) refTable5(minDevices int) []Table5Row {
+	sniPrints := map[string]map[string]bool{}
+	for _, key := range c.orderedKeys {
+		for _, sni := range c.Fingerprint(key).SNIs {
+			if sniPrints[sni] == nil {
+				sniPrints[sni] = map[string]bool{}
+			}
+			sniPrints[sni][key] = true
+		}
+	}
+	type agg struct {
+		fqdns   int
+		devices map[string]bool
+		vendors map[string]bool
+	}
+	type tie struct{ sld, key string }
+	tied := map[tie]*agg{}
+	for sni, prints := range sniPrints {
+		if len(prints) != 1 {
+			continue
+		}
+		var key string
+		for k := range prints {
+			key = k
+		}
+		id := tie{SLDOf(sni), key}
+		a := tied[id]
+		if a == nil {
+			a = &agg{devices: map[string]bool{}, vendors: map[string]bool{}}
+			tied[id] = a
+		}
+		a.fqdns++
+		for _, d := range c.SNIDevices(sni) {
+			a.devices[d] = true
+			a.vendors[c.DeviceVendor(d)] = true
+		}
+	}
+	var rows []Table5Row
+	for id, a := range tied {
+		if len(a.vendors) < 2 || len(a.devices) < minDevices {
+			continue
+		}
+		var vulns []string
+		for _, v := range c.Fingerprint(id.key).Print.VulnClasses() {
+			vulns = append(vulns, v.String())
+		}
+		vendors := make([]string, 0, len(a.vendors))
+		for v := range a.vendors {
+			vendors = append(vendors, v)
+		}
+		sort.Strings(vendors)
+		rows = append(rows, Table5Row{
+			SLD:        id.sld,
+			FQDNs:      a.fqdns,
+			VulnLabels: vulns,
+			Devices:    len(a.devices),
+			Vendors:    vendors,
+			PrintKey:   id.key,
+		})
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].Devices != rows[j].Devices {
+			return rows[i].Devices > rows[j].Devices
+		}
+		if rows[i].SLD != rows[j].SLD {
+			return rows[i].SLD < rows[j].SLD
+		}
+		return rows[i].PrintKey < rows[j].PrintKey
+	})
+	return rows
+}
+
+// refVulnerabilities computes the Section 4.2 statistics from
+// string-keyed maps.
+func (c *Client) refVulnerabilities() VulnStats {
+	st := VulnStats{
+		TotalFingerprints: c.prints.len(),
+		ByClass:           map[ciphersuite.VulnClass]int{},
+	}
+	awfulVendors := map[string]bool{}
+	awfulDevices := map[string]bool{}
+	for _, key := range c.orderedKeys {
+		info := c.Fingerprint(key)
+		classes := info.Print.VulnClasses()
+		if len(classes) == 0 {
+			continue
+		}
+		st.WithVulnerable++
+		if len(info.Devices) >= 2 {
+			st.VulnUsedByMultipleDevices++
+		}
+		awful := false
+		for _, cl := range classes {
+			st.ByClass[cl]++
+			switch cl {
+			case ciphersuite.VulnAnonKex, ciphersuite.VulnExport,
+				ciphersuite.VulnNULL, ciphersuite.VulnKRB5Export, ciphersuite.VulnRC2:
+				awful = true
+			}
+		}
+		if awful {
+			st.AwfulFingerprints++
+			for _, d := range info.Devices {
+				awfulDevices[d] = true
+			}
+			for _, v := range info.Vendors {
+				awfulVendors[v] = true
+			}
+		}
+	}
+	st.AwfulDevices = len(awfulDevices)
+	for v := range awfulVendors {
+		st.AwfulVendors = append(st.AwfulVendors, v)
+	}
+	sort.Strings(st.AwfulVendors)
+	return st
+}
+
+// refCensus computes the extension censuses from string-keyed maps.
+func (c *Client) refCensus() ExtensionCensus {
+	type devFlags struct {
+		ocsp, gSuite, gExt, scsv bool
+	}
+	flags := map[string]*devFlags{}
+	for _, key := range c.orderedKeys {
+		info := c.Fingerprint(key)
+		hasOCSP := false
+		for _, e := range info.Print.Extensions {
+			if e == uint16(tlswire.ExtStatusRequest) {
+				hasOCSP = true
+			}
+		}
+		gSuite := info.Print.HasGREASESuites()
+		gExt := info.Print.HasGREASEExtensions()
+		scsv := info.Print.ProposesFallbackSCSV()
+		for _, dev := range info.Devices {
+			f := flags[dev]
+			if f == nil {
+				f = &devFlags{}
+				flags[dev] = f
+			}
+			f.ocsp = f.ocsp || hasOCSP
+			f.gSuite = f.gSuite || gSuite
+			f.gExt = f.gExt || gExt
+			f.scsv = f.scsv || scsv
+		}
+	}
+	var out ExtensionCensus
+	vOCSP, vGS, vGE, vSCSV := map[string]bool{}, map[string]bool{}, map[string]bool{}, map[string]bool{}
+	for dev, f := range flags {
+		vendor := c.DeviceVendor(dev)
+		if f.ocsp {
+			out.OCSPDevices++
+			vOCSP[vendor] = true
+		}
+		if f.gSuite {
+			out.GREASESuiteDevices++
+			vGS[vendor] = true
+		}
+		if f.gExt {
+			out.GREASEExtDevices++
+			vGE[vendor] = true
+		}
+		if f.scsv {
+			out.FallbackSCSVDevices++
+			vSCSV[vendor] = true
+		}
+	}
+	out.OCSPVendors = len(vOCSP)
+	out.GREASESuiteVendors = len(vGS)
+	out.GREASEExtVendors = len(vGE)
+	out.FallbackSCSVVendors = len(vSCSV)
 	return out
 }
 
@@ -400,9 +654,12 @@ func sameBits(got, want map[string]float64) (string, bool) {
 	return "", true
 }
 
-// TestGroupedTablesMatchTupleReference checks the per-list Table 11 and
-// Figures 8, 9, 11 and 12, and the one-pass DoC_device, against the
-// per-tuple and graph-based references, row for row and bit for bit.
+// TestGroupedTablesMatchTupleReference checks every client table that
+// reads the Client's index against a reference over the string-keyed
+// state: Table 11 and Figures 8, 9, 11 and 12 against per-tuple
+// references, DoC_device, DoC_vendor and Tables 2 and 4 against graph
+// references, and Tables 3 and 5, VulnStats and Census against
+// string-map references, row for row and bit for bit.
 func TestGroupedTablesMatchTupleReference(t *testing.T) {
 	type study struct {
 		name    string
@@ -477,6 +734,33 @@ func TestGroupedTablesMatchTupleReference(t *testing.T) {
 			}
 			if v, ok := sameBits(c.DoCDeviceAll(), c.refDoCDeviceAll()); !ok {
 				t.Errorf("DoCDeviceAll differs from the graph reference at vendor %q", v)
+			}
+			if v, ok := sameBits(c.DoCVendorAll(), c.refDoCVendorAll()); !ok {
+				t.Errorf("DoCVendorAll differs from the graph reference at vendor %q", v)
+			}
+			if got, want := c.Table2(), c.refTable2(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Table2:\n got %+v\nwant %+v", got, want)
+			}
+			for _, topN := range []int{10, 0} {
+				if got, want := c.Table3(topN), c.refTable3(topN); !reflect.DeepEqual(got, want) {
+					t.Errorf("Table3(%d) differs from the string-map reference", topN)
+				}
+			}
+			for _, threshold := range []float64{0.2, 0} {
+				if got, want := c.Table4(threshold), c.refTable4(threshold); !reflect.DeepEqual(got, want) {
+					t.Errorf("Table4(%v) differs from the graph reference", threshold)
+				}
+			}
+			for _, minDevices := range []int{2, 1} {
+				if got, want := c.Table5(minDevices), c.refTable5(minDevices); !reflect.DeepEqual(got, want) {
+					t.Errorf("Table5(%d) differs from the string-map reference", minDevices)
+				}
+			}
+			if got, want := c.Vulnerabilities(), c.refVulnerabilities(); !reflect.DeepEqual(got, want) {
+				t.Errorf("Vulnerabilities:\n got %+v\nwant %+v", got, want)
+			}
+			if got, want := c.Census(), c.refCensus(); got != want {
+				t.Errorf("Census:\n got %+v\nwant %+v", got, want)
 			}
 			for _, vendor := range c.vendorNames() {
 				got, want := c.DeviceDoCsForVendor(vendor), c.refDeviceDoCsForVendor(vendor)

@@ -18,6 +18,7 @@ package ciphersuite
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -189,10 +190,31 @@ var registry = map[uint16]Suite{}
 // byName is keyed by IANA name.
 var byName = map[string]Suite{}
 
+// attrSlot maps each registered codepoint to 1 + its index in attrs,
+// which holds the suite's VulnClass and Level, computed once at
+// registration. The list functions below index the two instead of
+// hashing the codepoint and re-running VulnClass's string tests on
+// every call; slot 0 is every unregistered codepoint.
+var (
+	attrSlot [1 << 16]uint8
+	attrs    = []suiteAttr{{}}
+)
+
+type suiteAttr struct {
+	known bool
+	vuln  VulnClass
+	level SecurityLevel
+}
+
 func register(id uint16, name, kex, cipher, mac string, pfs, aead, tls13 bool) {
 	s := Suite{ID: id, Name: name, Kex: kex, Cipher: cipher, MAC: mac, PFS: pfs, AEAD: aead, TLS13: tls13}
 	registry[id] = s
 	byName[name] = s
+	if len(attrs) == 1<<8 {
+		panic("ciphersuite: more than 255 registered suites")
+	}
+	attrSlot[id] = uint8(len(attrs))
+	attrs = append(attrs, suiteAttr{known: true, vuln: s.VulnClass(), level: s.Level()})
 }
 
 // Lookup returns the suite for an IANA codepoint. GREASE values and unknown
@@ -230,19 +252,13 @@ func ListLevel(ids []uint16) SecurityLevel {
 	level := Optimal
 	seen := false
 	for _, id := range ids {
-		if IsGREASE(id) {
-			continue
-		}
-		s, ok := Lookup(id)
-		if s.IsSCSV() {
-			continue
-		}
-		if !ok {
+		a := &attrs[attrSlot[id]]
+		if !a.known || id == SCSVRenegotiation || id == SCSVFallback {
 			continue
 		}
 		seen = true
-		if l := s.Level(); l > level {
-			level = l
+		if a.level > level {
+			level = a.level
 		}
 	}
 	if !seen {
@@ -255,19 +271,19 @@ func ListLevel(ids []uint16) SecurityLevel {
 // a proposed list, sorted by their enum order (severity grouping used in
 // reports).
 func VulnClasses(ids []uint16) []VulnClass {
-	set := map[VulnClass]bool{}
+	var set uint32
 	for _, id := range ids {
-		if s, ok := Lookup(id); ok {
-			if v := s.VulnClass(); v != VulnNone {
-				set[v] = true
-			}
+		if v := attrs[attrSlot[id]].vuln; v != VulnNone {
+			set |= 1 << v
 		}
 	}
-	out := make([]VulnClass, 0, len(set))
-	for v := range set {
-		out = append(out, v)
+	out := make([]VulnClass, 0, bits.OnesCount32(set))
+	for v := VulnClass(0); set != 0; v++ {
+		if set&(1<<v) != 0 {
+			out = append(out, v)
+			set &^= 1 << v
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -277,7 +293,7 @@ func VulnClasses(ids []uint16) []VulnClass {
 // lists led by TLS_EMPTY_RENEGOTIATION_INFO_SCSV are handled specially.
 func LowestVulnerableIndex(ids []uint16) int {
 	for i, id := range ids {
-		if s, ok := Lookup(id); ok && s.Level() == Vulnerable {
+		if a := &attrs[attrSlot[id]]; a.known && a.level == Vulnerable {
 			return i
 		}
 	}

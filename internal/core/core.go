@@ -20,6 +20,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
+	"slices"
 	"sync"
 	"time"
 
@@ -218,35 +220,45 @@ func Run(ctx context.Context, cfg Config) (*Study, error) {
 	return st, nil
 }
 
+// tableJob builds one report table. indexed marks a client table that
+// reads the Client's table index, which the first such job builds (see
+// buildTables).
+type tableJob struct {
+	build   func() report.Table
+	indexed bool
+}
+
 // clientTableJobs lists the Section 4 + Appendix B table builders. Each
 // job is independent and reads only immutable post-Run state (the
-// matcher's memo is internally synchronized), so jobs may run on any
-// goroutine; order in the slice is the report order.
-func (s *Study) clientTableJobs() []func() report.Table {
-	jobs := []func() report.Table{
-		func() report.Table { return report.LibMatch(s.Client.MatchLibraries(s.Matcher)) },
-		func() report.Table { return report.Table2(s.Client.Table2()) },
-		func() report.Table { return report.Figure2(s.Client.DoCVendorAll(), s.Client.DoCDeviceAll()) },
-		func() report.Table { return report.Table3(s.Client.Table3(10)) },
-		func() report.Table { return report.Table4(s.Client.Table4(0.2)) },
-		func() report.Table { return report.Table5(s.Client.Table5(2)) },
-		func() report.Table { return report.VulnStats(s.Client.Vulnerabilities()) },
-		func() report.Table { return report.Table11(s.Client.Table11(s.Matcher)) },
-		func() report.Table { return report.Figure8(s.Client.Figure8(s.Matcher, 10)) },
-		func() report.Table { return report.Table12(s.Client.Table12()) },
-		func() report.Table { return report.Figure11(s.Client.Figure11()) },
-		func() report.Table { return report.Figure12(s.Client.Figure12()) },
-		func() report.Table { return report.Census(s.Client.Census()) },
-		func() report.Table { return report.ExtensionFrequencies(s.Client.ExtensionFrequencies(s.Matcher), 12) },
-		func() report.Table { return report.Table10(s.Matcher.Entries()) },
-		func() report.Table { return report.Table13() },
+// matcher's memo and the Client's index are internally synchronized),
+// so jobs may run on any goroutine; order in the slice is the report
+// order.
+func (s *Study) clientTableJobs() []tableJob {
+	c, m := s.Client, s.Matcher
+	jobs := []tableJob{
+		{build: func() report.Table { return report.LibMatch(c.MatchLibraries(m)) }},
+		{indexed: true, build: func() report.Table { return report.Table2(c.Table2()) }},
+		{indexed: true, build: func() report.Table { return report.Figure2(c.DoCVendorAll(), c.DoCDeviceAll()) }},
+		{indexed: true, build: func() report.Table { return report.Table3(c.Table3(10)) }},
+		{indexed: true, build: func() report.Table { return report.Table4(c.Table4(0.2)) }},
+		{indexed: true, build: func() report.Table { return report.Table5(c.Table5(2)) }},
+		{indexed: true, build: func() report.Table { return report.VulnStats(c.Vulnerabilities()) }},
+		{indexed: true, build: func() report.Table { return report.Table11(c.Table11(m)) }},
+		{indexed: true, build: func() report.Table { return report.Figure8(c.Figure8(m, 10)) }},
+		{build: func() report.Table { return report.Table12(c.Table12()) }},
+		{indexed: true, build: func() report.Table { return report.Figure11(c.Figure11()) }},
+		{indexed: true, build: func() report.Table { return report.Figure12(c.Figure12()) }},
+		{indexed: true, build: func() report.Table { return report.Census(c.Census()) }},
+		{build: func() report.Table { return report.ExtensionFrequencies(c.ExtensionFrequencies(m), 12) }},
+		{build: func() report.Table { return report.Table10(m.Entries()) }},
+		{build: func() report.Table { return report.Table13() }},
 	}
 	// The timeline tables only exist on drift runs, so the paper-era
 	// report stays byte-identical (same gating as the serverfp tables).
 	if !s.Config.AsOf.IsZero() {
 		jobs = append(jobs,
-			func() report.Table { return report.AdoptionCurve(s.Dataset.AdoptionCurve(s.timelineDates())) },
-			func() report.Table { return report.DowngradeStragglers(s.Dataset.DowngradeStragglers(), 15) },
+			tableJob{build: func() report.Table { return report.AdoptionCurve(s.Dataset.AdoptionCurve(s.timelineDates())) }},
+			tableJob{build: func() report.Table { return report.DowngradeStragglers(s.Dataset.DowngradeStragglers(), 15) }},
 		)
 	}
 	return jobs
@@ -269,45 +281,51 @@ func (s *Study) timelineDates() []time.Time {
 // serverTableJobs lists the Section 5 + Appendix C table builders, plus
 // the active-fingerprinting tables when that stage ran. Appending rather
 // than always listing them keeps the default report byte-identical.
-func (s *Study) serverTableJobs() []func() report.Table {
-	jobs := []func() report.Table{
-		func() report.Table { return report.Table6(s.Server.Table6()) },
-		func() report.Table { return report.Sharing(s.Server.Sharing()) },
-		func() report.Table { return report.Figure5(s.Server.Figure5()) },
-		func() report.Table {
-			return report.DomainRows("Table 7: Certificate chains with validation failure", s.Server.Table7(), false)
-		},
-		func() report.Table {
-			return report.DomainRows("Table 8: Expired certificates", s.Server.Table8(), true)
-		},
-		func() report.Table {
-			return report.DomainRows("Table 14: Certificate chains with private issuers", s.Server.Table14(), false)
-		},
-		func() report.Table {
-			return report.DomainRows("Section 5.3: Common Name mismatches", s.Server.CNMismatches(), false)
-		},
-		func() report.Table { return report.Figure6(s.Server.Figure6()) },
-		func() report.Table { return report.Table9(s.Server.Table9()) },
-		func() report.Table { return report.CTStats(s.Server.CT()) },
-		func() report.Table { return report.Table15(s.Server.Table15(30)) },
-		func() report.Table { return report.Table16(s.Server.Table16()) },
-		func() report.Table { return report.ProbeStats(s.Server.ProbeStats) },
-		func() report.Table {
-			return report.ReportCards(s.Server.ReportCards(s.World.ProbeTime), s.World.ProbeTime)
-		},
+func (s *Study) serverTableJobs() []tableJob {
+	v := s.Server
+	jobs := []tableJob{
+		{build: func() report.Table { return report.Table6(v.Table6()) }},
+		{build: func() report.Table { return report.Sharing(v.Sharing()) }},
+		{build: func() report.Table { return report.Figure5(v.Figure5()) }},
+		{build: func() report.Table {
+			return report.DomainRows("Table 7: Certificate chains with validation failure", v.Table7(), false)
+		}},
+		{build: func() report.Table {
+			return report.DomainRows("Table 8: Expired certificates", v.Table8(), true)
+		}},
+		{build: func() report.Table {
+			return report.DomainRows("Table 14: Certificate chains with private issuers", v.Table14(), false)
+		}},
+		{build: func() report.Table {
+			return report.DomainRows("Section 5.3: Common Name mismatches", v.CNMismatches(), false)
+		}},
+		{build: func() report.Table { return report.Figure6(v.Figure6()) }},
+		{build: func() report.Table { return report.Table9(v.Table9()) }},
+		{build: func() report.Table { return report.CTStats(v.CT()) }},
+		{build: func() report.Table { return report.Table15(v.Table15(30)) }},
+		{build: func() report.Table { return report.Table16(v.Table16()) }},
+		{build: func() report.Table { return report.ProbeStats(v.ProbeStats) }},
+		{build: func() report.Table {
+			return report.ReportCards(v.ReportCards(s.World.ProbeTime), s.World.ProbeTime)
+		}},
 	}
 	if s.ServerFP != nil {
 		jobs = append(jobs,
-			func() report.Table { return report.ServerFPCensus(s.ServerFP) },
-			func() report.Table { return report.ServerFPVendorStacks(s.ServerFP) },
+			tableJob{build: func() report.Table { return report.ServerFPCensus(s.ServerFP) }},
+			tableJob{build: func() report.Table { return report.ServerFPVendorStacks(s.ServerFP) }},
 		)
 	}
 	return jobs
 }
 
 // buildTables runs table jobs across the study's worker pool, preserving
-// slice order in the result regardless of completion order.
-func (s *Study) buildTables(jobs []func() report.Table) []report.Table {
+// slice order in the result regardless of completion order. The first
+// indexed job starts first, and every job that needs no index goes
+// before the other indexed ones, so while one worker builds the
+// Client's index the others have work that does not wait for it. A
+// job's panic is re-raised on the calling goroutine once every worker
+// has stopped, as it would be if the jobs ran on it.
+func (s *Study) buildTables(jobs []tableJob) []report.Table {
 	if m := s.Config.Metrics; m != nil {
 		sw := obs.NewStopwatch()
 		defer func() {
@@ -322,27 +340,66 @@ func (s *Study) buildTables(jobs []func() report.Table) []report.Table {
 	out := make([]report.Table, len(jobs))
 	if workers <= 1 {
 		for i, job := range jobs {
-			out[i] = job()
+			out[i] = job.build()
 		}
 		return out
 	}
-	var wg sync.WaitGroup
+	var (
+		wg sync.WaitGroup
+		mu sync.Mutex
+		// firstPanic is the first job panic, with the job's stack.
+		firstPanic string
+	)
+	run := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				mu.Lock()
+				if firstPanic == "" {
+					firstPanic = fmt.Sprintf("%v\n\ngoroutine of table job %d:\n%s", r, i, debug.Stack())
+				}
+				mu.Unlock()
+			}
+		}()
+		out[i] = jobs[i].build()
+	}
 	idx := make(chan int)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = jobs[i]()
+				run(i)
 			}
 		}()
 	}
-	for i := range jobs {
+	for _, i := range dispatchOrder(jobs) {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
+	if firstPanic != "" {
+		panic(firstPanic)
+	}
 	return out
+}
+
+// dispatchOrder is the order buildTables hands jobs to its workers: the
+// first indexed job, then every job without the flag, then the other
+// indexed jobs, each group in slice order.
+func dispatchOrder(jobs []tableJob) []int {
+	first := slices.IndexFunc(jobs, func(j tableJob) bool { return j.indexed })
+	order := make([]int, 0, len(jobs))
+	if first >= 0 {
+		order = append(order, first)
+	}
+	for _, indexed := range []bool{false, true} {
+		for i, job := range jobs {
+			if job.indexed == indexed && i != first {
+				order = append(order, i)
+			}
+		}
+	}
+	return order
 }
 
 // ClientTables renders the Section 4 + Appendix B tables.

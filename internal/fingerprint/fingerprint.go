@@ -169,30 +169,29 @@ func (f Fingerprint) ProposesFallbackSCSV() bool {
 // candidate group inside MatchSemantics, where the old map-based version
 // dominated the allocation profile.
 func JaccardUint16(a, b []uint16) float64 {
+	var bufA, bufB [jaccardBuf]uint16
+	return jaccardSets(sortedDedup(bufA[:0], a), sortedDedup(bufB[:0], b))
+}
+
+// jaccardSets is JaccardUint16 over two sorted, deduplicated lists.
+func jaccardSets(a, b []uint16) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
-	var bufA, bufB [jaccardBuf]uint16
-	sa := sortedDedup(bufA[:0], a)
-	sb := sortedDedup(bufB[:0], b)
 	inter := 0
-	for i, j := 0, 0; i < len(sa) && j < len(sb); {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
 		switch {
-		case sa[i] == sb[j]:
+		case a[i] == b[j]:
 			inter++
 			i++
 			j++
-		case sa[i] < sb[j]:
+		case a[i] < b[j]:
 			i++
 		default:
 			j++
 		}
 	}
-	union := len(sa) + len(sb) - inter
-	if union == 0 {
-		return 1
-	}
-	return float64(inter) / float64(union)
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // jaccardBuf is sized for real ciphersuite lists (the longest corpus and
@@ -257,9 +256,94 @@ func (c MatchCategory) String() string {
 	}
 }
 
+// componentMasks is componentSets as bitmasks: one bit per kex, cipher
+// and MAC name of the registry, so two lists have equal component sets
+// exactly when their masks are equal. ciphersuite.SimilarAlgorithms is
+// an equivalence relation (equal names, or one length-insensitive
+// family), so every set member has a similar counterpart in the other
+// set, setsSimilar's test, exactly when both sets cover the same
+// similarity classes: cipherClass and macClass hold one bit per class.
+type componentMasks struct {
+	kex, cipher, mac      uint64
+	cipherClass, macClass uint64
+}
+
+// suiteSlot maps every registered suite except the signalling values to
+// 1 + its index in suiteMasks, which holds the suite's single-member
+// componentMasks; every other codepoint maps to 0. A 64 KiB table keeps
+// the per-suite lookup free of hashing.
+var suiteSlot, suiteMasks = buildSuiteMasks()
+
+func buildSuiteMasks() (*[1 << 16]uint8, []componentMasks) {
+	kex, cipher, mac := bits{}, bits{}, bits{}
+	cipherClass, macClass := bits{}, bits{}
+	slot := new([1 << 16]uint8)
+	masks := []componentMasks{{}}
+	for _, s := range ciphersuite.All() {
+		if s.IsSCSV() {
+			continue
+		}
+		if len(masks) == 1<<8 {
+			panic("fingerprint: more than 255 suites in the ciphersuite registry")
+		}
+		k, c, m := s.Components()
+		slot[s.ID] = uint8(len(masks))
+		masks = append(masks, componentMasks{
+			kex: kex.of(k), cipher: cipher.of(c), mac: mac.of(m),
+			cipherClass: cipherClass.class(c), macClass: macClass.class(m),
+		})
+	}
+	return slot, masks
+}
+
+// bits numbers names with one bit each, in order of first sight.
+type bits map[string]uint64
+
+func (b bits) of(name string) uint64 {
+	v, ok := b[name]
+	if !ok {
+		if len(b) == 64 {
+			panic("fingerprint: more than 64 component names or classes in the ciphersuite registry")
+		}
+		v = 1 << len(b)
+		b[name] = v
+	}
+	return v
+}
+
+// class returns the bit of name's similarity class, which its first
+// similar name seen holds. Similarity is an equivalence relation, so at
+// most one numbered name is similar to name.
+func (b bits) class(name string) uint64 {
+	for rep, v := range b {
+		if ciphersuite.SimilarAlgorithms(name, rep) {
+			return v
+		}
+	}
+	return b.of(name)
+}
+
+// componentMasksOf is componentSets over masks: GREASE, signalling and
+// unknown codepoints have no slot and add nothing.
+func componentMasksOf(ids []uint16) componentMasks {
+	var out componentMasks
+	for _, id := range ids {
+		if i := suiteSlot[id]; i != 0 {
+			b := &suiteMasks[i]
+			out.kex |= b.kex
+			out.cipher |= b.cipher
+			out.mac |= b.mac
+			out.cipherClass |= b.cipherClass
+			out.macClass |= b.macClass
+		}
+	}
+	return out
+}
+
 // componentSets extracts the three component sets (kex+auth, cipher, MAC)
 // from a ciphersuite list, skipping signalling values, GREASE, and unknown
-// codepoints.
+// codepoints. It and setsEqual/setsSimilar define the categories
+// CategorizeAgainst returns; the matcher compares componentMasks instead.
 func componentSets(ids []uint16) (kex, cipher, mac map[string]bool) {
 	kex = map[string]bool{}
 	cipher = map[string]bool{}

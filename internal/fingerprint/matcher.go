@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/intern"
+	"repro/internal/tlswire"
 )
 
 // LibraryEntry is one known TLS library build in the matching corpus:
@@ -59,14 +60,22 @@ type Matcher struct {
 	// (Table 11, Figure 8, ...) shares the result.
 	semMu   sync.RWMutex
 	semMemo map[string]SemanticsMatch
+
+	// extOnce/extCounts/extPrints hold the corpus side of the Appendix
+	// B.3.3 extension comparison, counted on first use (ExtensionCounts).
+	extOnce   sync.Once
+	extCounts map[tlswire.ExtensionType]int
+	extPrints int
 }
 
-// suiteGroup is one distinct corpus ciphersuite list with precomputed
-// component sets and the highest-version entry proposing it.
+// suiteGroup is one distinct corpus ciphersuite list with its component
+// masks and the highest-version entry proposing it.
 type suiteGroup struct {
-	suites           []uint16
-	kex, cipher, mac map[string]bool
-	best             LibraryEntry
+	suites []uint16
+	// set is suites sorted and deduplicated.
+	set  []uint16
+	comp componentMasks
+	best LibraryEntry
 }
 
 // NewMatcher builds a matcher over the given corpus.
@@ -87,15 +96,15 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 		okey := suiteListKey(e.Print.CipherSuites)
 		g, ok := m.byOrderedKey[okey]
 		if !ok {
-			kex, cipher, mac := componentSets(e.Print.CipherSuites)
 			g = &suiteGroup{
 				suites: e.Print.CipherSuites,
-				kex:    kex, cipher: cipher, mac: mac,
-				best: e,
+				set:    sortedDedup(nil, e.Print.CipherSuites),
+				comp:   componentMasksOf(e.Print.CipherSuites),
+				best:   e,
 			}
 			m.byOrderedKey[okey] = g
 			m.groups = append(m.groups, g)
-			skey := suiteListKey(sortedSuites(e.Print.CipherSuites))
+			skey := suiteListKey(g.set)
 			m.bySortedKey[skey] = append(m.bySortedKey[skey], g)
 		} else if versionLess(g.best.Version, e.Version) {
 			g.best = e
@@ -116,26 +125,15 @@ func NewMatcher(entries []LibraryEntry) *Matcher {
 
 // suiteListKey is a fast binary key over a suite list.
 func suiteListKey(ids []uint16) string {
-	b := make([]byte, 2*len(ids))
-	for i, id := range ids {
-		b[2*i] = byte(id >> 8)
-		b[2*i+1] = byte(id)
-	}
-	return string(b)
+	return string(appendSuiteKey(make([]byte, 0, 2*len(ids)), ids))
 }
 
-func sortedSuites(ids []uint16) []uint16 {
-	out := append([]uint16(nil), ids...)
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// Dedup.
-	n := 0
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			out[n] = v
-			n++
-		}
+// appendSuiteKey appends the suiteListKey bytes of ids to b.
+func appendSuiteKey(b []byte, ids []uint16) []byte {
+	for _, id := range ids {
+		b = append(b, byte(id>>8), byte(id))
 	}
-	return out[:n]
+	return b
 }
 
 // CorpusSize returns the number of library entries indexed.
@@ -157,7 +155,8 @@ func (m *Matcher) MatchExact(f Fingerprint) (LibraryEntry, bool) {
 
 // SemanticsMatch is the result of the semantics-aware matcher: the best
 // category achieved across the corpus and the closest library under that
-// category (ties broken by ciphersuite Jaccard similarity, then version).
+// category (ties broken by ciphersuite Jaccard similarity, then version,
+// then the corpus list first proposed by an entry).
 type SemanticsMatch struct {
 	Category MatchCategory
 	Library  LibraryEntry
@@ -189,16 +188,22 @@ func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
 
 // matchSemanticsUncached is the memo-free matcher body.
 func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
+	var keyBuf [2 * jaccardBuf]byte
 	// Exact list match: direct lookup.
-	if g, ok := m.byOrderedKey[suiteListKey(deviceSuites)]; ok {
+	key := appendSuiteKey(keyBuf[:0], deviceSuites)
+	if g, ok := m.byOrderedKey[string(key)]; ok {
 		return SemanticsMatch{
 			Category: ExactCiphersuites,
 			Library:  g.best,
 			Jaccard:  JaccardUint16(deviceSuites, g.suites),
 		}
 	}
-	// Same set, different order: sorted-key lookup.
-	if gs, ok := m.bySortedKey[suiteListKey(sortedSuites(deviceSuites))]; ok {
+	// Same set, different order: sorted-key lookup. The sorted set also
+	// serves every Jaccard below.
+	var sortBuf [jaccardBuf]uint16
+	set := sortedDedup(sortBuf[:0], deviceSuites)
+	key = appendSuiteKey(keyBuf[:0], set)
+	if gs, ok := m.bySortedKey[string(key)]; ok {
 		best := gs[0]
 		for _, g := range gs[1:] {
 			if versionLess(best.best.Version, g.best.Version) {
@@ -208,18 +213,23 @@ func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 		return SemanticsMatch{
 			Category: SameSetDiffOrder,
 			Library:  best.best,
-			Jaccard:  JaccardUint16(deviceSuites, best.suites),
+			Jaccard:  jaccardSets(set, best.set),
 		}
 	}
-	// Component comparisons against the distinct suite-list groups.
-	dk, dc, dm := componentSets(deviceSuites)
+	// Component comparisons against the distinct suite-list groups, on
+	// masks: equal masks are equal sets, and equal class masks are
+	// similar sets (see componentMasks).
+	d := componentMasksOf(deviceSuites)
 	best := SemanticsMatch{Category: Customization}
 	for _, g := range m.groups {
+		if d.kex != g.comp.kex {
+			continue
+		}
 		var cat MatchCategory
 		switch {
-		case setsEqual(dk, g.kex) && setsEqual(dc, g.cipher) && setsEqual(dm, g.mac):
+		case d.cipher == g.comp.cipher && d.mac == g.comp.mac:
 			cat = SameComponent
-		case setsEqual(dk, g.kex) && setsSimilar(dc, g.cipher) && setsSimilar(dm, g.mac):
+		case d.cipherClass == g.comp.cipherClass && d.macClass == g.comp.macClass:
 			cat = SimilarComponent
 		default:
 			continue
@@ -227,13 +237,37 @@ func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 		if cat < best.Category {
 			continue
 		}
-		j := JaccardUint16(deviceSuites, g.suites)
+		j := jaccardSets(set, g.set)
 		if cat > best.Category || j > best.Jaccard ||
 			(j == best.Jaccard && versionLess(best.Library.Version, g.best.Version)) {
 			best = SemanticsMatch{Category: cat, Library: g.best, Jaccard: j}
 		}
 	}
 	return best
+}
+
+// ExtensionCounts returns how many distinct corpus fingerprints carry
+// each extension type, and how many distinct corpus fingerprints there
+// are: the library side of the Appendix B.3.3 comparison. It is counted
+// once per Matcher; the map is shared and must not be modified.
+func (m *Matcher) ExtensionCounts() (map[tlswire.ExtensionType]int, int) {
+	m.extOnce.Do(func() {
+		m.extCounts = map[tlswire.ExtensionType]int{}
+		m.extPrints = len(m.byInternedBest)
+		seen := map[tlswire.ExtensionType]int{}
+		i := 0
+		for _, e := range m.byInternedBest {
+			i++
+			for _, ext := range e.Print.Extensions {
+				et := tlswire.ExtensionType(ext)
+				if seen[et] != i {
+					seen[et] = i
+					m.extCounts[et]++
+				}
+			}
+		}
+	})
+	return m.extCounts, m.extPrints
 }
 
 // Entries returns the corpus sorted by family then version, as a fresh

@@ -8,6 +8,7 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"sort"
 	"strings"
@@ -221,7 +222,7 @@ func (g *Bipartite) SimilarPairs(threshold float64) []SimilarPair {
 			if len(adj[j]) == 0 {
 				continue
 			}
-			s := jaccardSortedUint32(adj[i], adj[j])
+			s := JaccardSorted(adj[i], adj[j])
 			if s >= threshold {
 				out = append(out, SimilarPair{A: lefts[i], B: lefts[j], Similarity: s})
 			}
@@ -239,9 +240,10 @@ func (g *Bipartite) SimilarPairs(threshold float64) []SimilarPair {
 	return out
 }
 
-// jaccardSortedUint32 computes Jaccard similarity of two sorted id sets
-// by a single merge pass. Empty-vs-empty is 1, matching Jaccard.
-func jaccardSortedUint32(a, b []uint32) float64 {
+// JaccardSorted computes the Jaccard similarity of two ascending,
+// duplicate-free id sets by a single merge pass. Empty-vs-empty is 1,
+// matching Jaccard.
+func JaccardSorted[T cmp.Ordered](a, b []T) float64 {
 	inter := 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {

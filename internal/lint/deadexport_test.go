@@ -22,7 +22,10 @@ var deadExportKeep = map[string]string{
 
 	// Reference implementations tests compare the production path against.
 	"internal/fingerprint.CategorizeAgainst":      "per-entry Appendix B.2 categorization the indexed MatchSemantics is checked against",
-	"internal/graph.Bipartite.Jaccard":            "per-pair Jaccard the sorted-id SimilarPairs (Table 4) is checked against",
+	"internal/graph.Bipartite.Jaccard":            "per-pair Jaccard the sorted-id SimilarPairs is checked against",
+	"internal/graph.Bipartite.DegreeDistribution": "Table 2 from the Figure 1 graph, the reference the indexed Client.Table2 is checked against",
+	"internal/graph.Bipartite.DoCAll":             "DoC_vendor from the Figure 1 graph, the reference the indexed Client.DoCVendorAll is checked against",
+	"internal/graph.Bipartite.SimilarPairs":       "Table 4 from the Figure 1 graph, the reference the indexed Client.Table4 is checked against",
 	"internal/ctlog.VerifyConsistency":            "verifier the consistency proofs ctquery serves are checked with",
 	"internal/tlswire.ValidateCryptoTLS13Capture": "1.3 half of the crypto/tls differential oracle (key_share, which ClientHelloInfo hides)",
 

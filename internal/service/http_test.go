@@ -120,6 +120,30 @@ func TestHTTPLifecycle(t *testing.T) {
 	}
 }
 
+// TestReportSurvivesClientSuppliedSNI posts one accepted batch whose
+// SNI holds a '|', renders /report on two workers, and checks that the
+// daemon still serves /healthz afterwards.
+func TestReportSurvivesClientSuppliedSNI(t *testing.T) {
+	rec := testRecords(t)[0]
+	a, b := rec, rec
+	a.DeviceID, a.Vendor, a.SNI = "evil-1", "VendorA", "x.exa|mple.com"
+	b.DeviceID, b.Vendor, b.SNI = "evil-2", "VendorB", "x.exa|mple.com"
+	s := New(Options{Seed: 21, Workers: 2})
+	srv := httptest.NewServer(Handler(s, HTTPOptions{}))
+	defer srv.Close()
+	if resp := postBatch(t, srv.URL, "alpha", []dataset.Record{a, b}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST = %d, want 202", resp.StatusCode)
+	}
+	waitFor(t, "merge", func() bool { return s.Stats().AcceptedBatches == 1 })
+	if code, body := getBody(t, srv.URL+"/report"); code != 200 || !strings.Contains(body, "exa|mple.com") {
+		t.Fatalf("/report = %d %q", code, body)
+	}
+	if code, body := getBody(t, srv.URL+"/healthz"); code != 200 || !strings.Contains(body, "ok") {
+		t.Fatalf("/healthz after /report = %d %q", code, body)
+	}
+	drain(t, s)
+}
+
 // TestHTTPQuarantineLog: a poisoned batch shows up on /quarantinez.
 func TestHTTPQuarantineLog(t *testing.T) {
 	recs := testRecords(t)

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/dataset"
+	"repro/internal/libcorpus"
 )
 
 // TestConcurrentSnapshotReadersDuringIngest is the race soak: sustained
@@ -254,4 +255,65 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 		}
 	}
 	t.Logf("%d batches, %d publications, %d distinct snapshots checked", st.AcceptedBatches, st.Publications, len(distinct))
+}
+
+// TestSnapshotTablesRenderConcurrently renders every client table of
+// one published snapshot from 4 goroutines at once, with 2 table
+// workers each, while the live client keeps merging. The first render
+// builds the snapshot's table index while the others read it, and
+// every render must equal a sequential one of an independently merged
+// client over the same batches.
+func TestSnapshotTablesRenderConcurrently(t *testing.T) {
+	recs := testRecords(t)
+	s := New(Options{Seed: 17, Workers: 2, QueueDepth: 256, SourceBudget: 256})
+	const batches, size = 12, 10
+	ref := analysis.NewClientEmpty()
+	for i := 0; i < batches; i++ {
+		b := recs[i*size : (i+1)*size]
+		s.Submit("early", b)
+		d, err := analysis.NewDelta(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref.MergeDelta(d)
+	}
+	waitFor(t, "early batches merged", func() bool { return s.Stats().AcceptedBatches == batches })
+	snap := s.Snapshot()
+	var want bytes.Buffer
+	(&Snapshot{Epoch: snap.Epoch, Batches: snap.Batches, Records: snap.Records, Client: ref}).
+		WriteReport(&want, libcorpus.NewMatcher(), 1)
+
+	matcher := libcorpus.NewMatcher()
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	got := make([]bytes.Buffer, 4)
+	for i := range got {
+		wg.Add(1)
+		go func(buf *bytes.Buffer) {
+			defer wg.Done()
+			<-start
+			snap.WriteReport(buf, matcher, 2)
+		}(&got[i])
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-start
+		for i := batches; i < batches+20; i++ {
+			lo := (i * size) % (len(recs) - size)
+			s.Submit("late", recs[lo:lo+size])
+		}
+	}()
+	close(start)
+	wg.Wait()
+	drain(t, s)
+	for i := range got {
+		if !bytes.Equal(got[i].Bytes(), want.Bytes()) {
+			t.Fatalf("concurrent render %d (%d bytes) differs from the sequential render (%d bytes)",
+				i, got[i].Len(), want.Len())
+		}
+	}
+	if s.Snapshot().Epoch == snap.Epoch {
+		t.Fatal("no merge ran beside the renders")
+	}
 }
