@@ -19,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intern"
 	"repro/internal/obs"
+	"repro/internal/simnet"
 	"repro/internal/tlswire"
 )
 
@@ -241,152 +242,102 @@ func mergeSorted(a, b []string) []string {
 	return append(out, b[j:]...)
 }
 
-// parseKey memoizes parsing per (stack, SNI-presence) pair, in symbol
-// space. Every record of one stack carries the same ciphersuite and
-// extension lists — only the 32-byte random and the SNI value differ —
-// except that the server_name extension appears iff the record has an
-// SNI or the stack always sends one. So two cache slots per stack
-// cover every record, and parsing runs once per distinct stack instead
-// of once per record. The comparable struct replaces the old
-// stackID+"|s" string key, which concatenated per record.
-type parseKey struct {
-	stack  intern.Symbol
-	hasSNI bool
-}
-
-// parsedRef is one memoized parse result: the ingest-dense print index
-// plus the version the hot loop tallies, so shards never touch the
+// parsedRef is one memoized key resolution: the ingest-dense print
+// index plus the version the hot loop tallies, so shards never touch the
 // shared print slice inside the record loop.
 type parsedRef struct {
 	idx     uint32
 	version tlswire.Version
 }
 
-// printMeta is the materialized identity of one distinct fingerprint.
-// staged marks a print the ingest's state had no key for: commit
-// registers it.
-type printMeta struct {
-	key    string
-	print  fingerprint.Fingerprint
-	staged bool
+// printEntry is the materialized identity of one distinct fingerprint:
+// its Key() and its tuple.
+type printEntry struct {
+	key   string
+	print fingerprint.Fingerprint
 }
 
-// IngestState is the parse state that can outlive one ingest: the
-// intern table batch identities resolve against, the arena holding
-// every fingerprint's ciphersuite and extension lists, and the registry
-// of distinct fingerprints, each with its Key(). A resident service
-// keeps one for its whole life and shares it across its workers, so a
-// batch pays only for the strings and prints the daemon has not seen
-// before. An ingest writes nothing to the state while it runs: it
-// stages the strings, lists and keys the state lacks, and only an
-// ingest that succeeds commits them, so a rejected batch leaves the
-// state as it was. Every part is append-only and safe for concurrent
-// use. What a state has seen never changes what an ingest
-// computes: symbols, handles and registry order depend on which batch
-// came first, but every aggregate resolves them back to strings and
-// sorts.
+// IngestState is the state that can outlive one ingest: the intern table
+// batch identities resolve against, and the registry of distinct
+// fingerprints by binary key (fingerprint.AppendRecordKey), each with
+// its Key() and tuple. A resident service keeps one for its whole life
+// and shares it across its workers, so a batch pays only for the strings
+// and prints the daemon has not seen before. A fingerprint's identity is
+// its hello's content alone, never a label the record carries. An
+// ingest reads every record's key before it writes anything, so a batch
+// with a malformed record leaves the state as it was. Both parts are
+// append-only and safe for concurrent use. What a state has seen never
+// changes what an ingest computes: symbols and registry order depend on
+// which batch came first, but every aggregate resolves them back to
+// strings and sorts.
 type IngestState struct {
-	tab   *intern.Table
-	arena *intern.Arena
-	mu    sync.RWMutex
-	keys  map[fingerprint.Interned]string
+	tab    *intern.Table
+	mu     sync.RWMutex
+	prints map[string]*printEntry
 }
 
 // NewIngestState returns an empty ingest state.
 func NewIngestState() *IngestState {
-	return &IngestState{
-		tab:   intern.NewTable(),
-		arena: intern.NewArena(),
-		keys:  map[fingerprint.Interned]string{},
-	}
+	return &IngestState{tab: intern.NewTable(), prints: map[string]*printEntry{}}
 }
 
-// ingestCtx is one ingest's shared parse state over an IngestState: a
-// two-level memo (L1 per shard, lock-free; this L2 under a mutex)
-// guaranteeing the same raw bytes are parsed exactly once per ingest no
-// matter how many shards see the stack, plus a dense index of the
-// distinct fingerprints this ingest saw. The memo stays per ingest: it
-// trusts a record's stack label, so sharing it across batches would let
-// one batch's label decide another batch's fingerprints. The dense
-// index numbers prints from 0 in order of first sight, so aggregation
-// works on small slices even when the state knows thousands of prints.
-// tab is the table the ingest's record symbols resolve against, and
-// arena an overlay of the state's, which gives each print its
-// ingest-stable identity.
+// entry returns the registered fingerprint with binary key key,
+// registering it on first sight: only then does it build the tuple and
+// its Key().
+func (st *IngestState) entry(key []byte) *printEntry {
+	st.mu.RLock()
+	e := st.prints[string(key)]
+	st.mu.RUnlock()
+	if e != nil {
+		return e
+	}
+	f := fingerprint.FromBinaryKey(key)
+	e = &printEntry{key: f.Key(), print: f}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if old := st.prints[string(key)]; old != nil {
+		return old
+	}
+	st.prints[string(key)] = e
+	return e
+}
+
+// ingestCtx is one ingest's view of an IngestState: the table its record
+// symbols resolve against, and a dense index of the distinct
+// fingerprints the ingest saw, numbered from 0 in order of first sight,
+// so aggregation works on small slices even when the state knows
+// thousands of prints. Shards resolve a key here, under the mutex, only
+// the first time they meet it.
 type ingestCtx struct {
 	st      *IngestState
 	tab     *intern.Table
-	arena   *intern.Arena
 	mu      sync.Mutex
-	parsed  map[parseKey]parsedRef
-	byPrint map[fingerprint.Interned]uint32
-	prints  []printMeta
-	// parses counts actual wire parses (the ingest_parses_total
-	// counter): at most one per distinct parseKey per ingest.
+	byPrint map[*printEntry]uint32
+	prints  []*printEntry
+	// parses counts the distinct keys the ingest resolved (the
+	// ingest_parses_total counter): one per key per ingest, whatever
+	// the shard count.
 	parses int64
 }
 
 func (st *IngestState) newCtx(tab *intern.Table) *ingestCtx {
-	return &ingestCtx{
-		st:      st,
-		tab:     tab,
-		arena:   st.arena.Overlay(),
-		parsed:  map[parseKey]parsedRef{},
-		byPrint: map[fingerprint.Interned]uint32{},
-	}
+	return &ingestCtx{st: st, tab: tab, byPrint: map[*printEntry]uint32{}}
 }
 
-// lookupOrParse resolves pk, parsing raw only if no shard has resolved
-// the key yet. Parse errors are returned, never cached. A print new to
-// the ingest takes its Key() from the state's registry, and builds it
-// only if the state has none.
-func (cx *ingestCtx) lookupOrParse(pk parseKey, raw []byte) (parsedRef, error) {
+// resolve returns the ingest's index and the version of the fingerprint
+// with binary key key.
+func (cx *ingestCtx) resolve(key []byte) parsedRef {
 	cx.mu.Lock()
 	defer cx.mu.Unlock()
-	if ref, ok := cx.parsed[pk]; ok {
-		return ref, nil
-	}
-	ch, err := tlswire.ParseRecord(raw)
-	if err != nil {
-		return parsedRef{}, err
-	}
-	cx.parses++
-	f := fingerprint.FromClientHelloOwned(ch)
-	in := f.Intern(cx.arena)
-	idx, ok := cx.byPrint[in]
+	e := cx.st.entry(key)
+	idx, ok := cx.byPrint[e]
 	if !ok {
-		cx.st.mu.RLock()
-		key, known := cx.st.keys[in]
-		cx.st.mu.RUnlock()
-		if !known {
-			key = f.Key()
-		}
 		idx = uint32(len(cx.prints))
-		cx.prints = append(cx.prints, printMeta{key: key, print: f, staged: !known})
-		cx.byPrint[in] = idx
+		cx.prints = append(cx.prints, e)
+		cx.byPrint[e] = idx
+		cx.parses++
 	}
-	ref := parsedRef{idx: idx, version: f.Version}
-	cx.parsed[pk] = ref
-	return ref, nil
-}
-
-// commit adds what the ingest staged to its state: the strings its
-// overlay table holds, and each print the registry had no key for,
-// with its lists. A print staged by two concurrent ingests keeps the
-// first key registered; both are the same string.
-func (cx *ingestCtx) commit() {
-	cx.tab.Commit()
-	for _, pm := range cx.prints {
-		if !pm.staged {
-			continue
-		}
-		in := pm.print.Intern(cx.st.arena)
-		cx.st.mu.Lock()
-		if _, ok := cx.st.keys[in]; !ok {
-			cx.st.keys[in] = pm.key
-		}
-		cx.st.mu.Unlock()
-	}
+	return parsedRef{idx: idx, version: e.print.Version}
 }
 
 // edge is one (print, identity-symbol) observation.
@@ -408,8 +359,11 @@ type sniEdge struct {
 // converts the merged symbol-space state to the exported string form
 // exactly once.
 type clientShard struct {
-	ctx           *ingestCtx
-	memo          map[parseKey]parsedRef
+	ctx *ingestCtx
+	// memo maps binary key to resolution; key is the buffer each
+	// record's key is read into.
+	memo          map[string]parsedRef
+	key           []byte
 	printRecords  map[uint32]int
 	printDevices  map[edge]struct{}
 	printVendors  map[edge]struct{}
@@ -430,7 +384,8 @@ type clientShard struct {
 
 func (s *clientShard) init(cx *ingestCtx) {
 	s.ctx = cx
-	s.memo = map[parseKey]parsedRef{}
+	s.memo = map[string]parsedRef{}
+	s.key = make([]byte, 0, 512)
 	s.printRecords = map[uint32]int{}
 	s.printDevices = map[edge]struct{}{}
 	s.printVendors = map[edge]struct{}{}
@@ -528,29 +483,34 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 
 // ingest aggregates one contiguous record view. base is the index of
 // the view's first record in the full dataset, for error reporting.
-// The loop reads columns directly — symbols and raw spans — and its
-// only per-record writes are integer-keyed map inserts, so the hot
-// path allocates nothing beyond amortized map growth.
+// The loop reads columns directly — symbols and raw spans — and reads
+// each record's binary key into the shard's buffer; its only
+// per-record writes are integer-keyed map inserts, so the hot path
+// allocates nothing beyond amortized map growth. It visits the records
+// in storage order, where reading their bytes costs less than half what
+// it does in time order; aggregation does not depend on the order, and
+// the error kept is the lowest-index one whatever the order.
 func (s *clientShard) ingest(recs dataset.Records, base int) {
-	n := recs.Len()
-	s.records = int64(n)
-	for i := 0; i < n; i++ {
-		sniSym := recs.SNISym(i)
-		pk := parseKey{stack: recs.StackSym(i), hasSNI: sniSym != 0}
-		ref, ok := s.memo[pk]
+	s.records = int64(recs.Len())
+	for _, j := range recs.StorageOrder() {
+		i := int(j)
+		key, err := fingerprint.AppendRecordKey(s.key[:0], recs.Raw(i))
+		if err != nil {
+			if s.err == nil || base+i < s.errIdx {
+				s.err, s.errIdx = err, base+i
+			}
+			continue
+		}
+		s.key = key
+		ref, ok := s.memo[string(key)]
 		if ok {
 			s.memoHits++
 		} else {
 			s.memoMisses++
-			var err error
-			ref, err = s.ctx.lookupOrParse(pk, recs.Raw(i))
-			if err != nil {
-				s.err = err
-				s.errIdx = base + i
-				return
-			}
-			s.memo[pk] = ref
+			ref = s.ctx.resolve(key)
+			s.memo[string(key)] = ref
 		}
+		sniSym := recs.SNISym(i)
 		devSym := recs.DeviceSym(i)
 		s.printRecords[ref.idx]++
 		s.printDevices[edge{ref.idx, devSym}] = struct{}{}
@@ -605,10 +565,10 @@ func (s *clientShard) finalize() aggregate {
 	infos := make([]FingerprintInfo, len(cx.prints))
 	infoByIdx := make([]*FingerprintInfo, len(cx.prints))
 	for idx, n := range s.printRecords {
-		pm := cx.prints[idx]
+		e := cx.prints[idx]
 		info := &infos[idx]
-		info.Print = pm.print
-		info.Key = pm.key
+		info.Print = e.print
+		info.Key = e.key
 		info.Records = n
 		infoByIdx[idx] = info
 		a.prints = append(a.prints, info)
@@ -974,7 +934,7 @@ func (c *Client) Table5(minDevices int) []Table5Row {
 	groups := map[tie][]string{}
 	for sni, p := range tiedTo {
 		if p >= 0 {
-			k := tie{SLDOf(sni), p}
+			k := tie{simnet.SLDOf(sni), p}
 			groups[k] = append(groups[k], sni)
 		}
 	}
@@ -1138,31 +1098,4 @@ func (c *Client) Vulnerabilities() VulnStats {
 		}
 	}
 	return st
-}
-
-// SLDOf re-exports simnet's SLD extraction for analysis consumers without
-// importing simnet (avoids a dependency cycle for server analysis).
-func SLDOf(fqdn string) string {
-	// Duplicated two-label suffix logic, kept in sync with simnet.SLDOf.
-	dots := 0
-	for i := len(fqdn) - 1; i >= 0; i-- {
-		if fqdn[i] == '.' {
-			dots++
-			if dots == 2 {
-				candidate := fqdn[i+1:]
-				switch candidate {
-				case "co.kr", "co.uk", "com.cn", "ntp.org":
-					// Need three labels.
-					for j := i - 1; j >= 0; j-- {
-						if fqdn[j] == '.' {
-							return fqdn[j+1:]
-						}
-					}
-					return fqdn
-				}
-				return candidate
-			}
-		}
-	}
-	return fqdn
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/fingerprint"
 )
 
 // This file is the incremental half of the client analysis: the batch
@@ -27,44 +28,33 @@ type Delta struct {
 }
 
 // NewDelta parses one record batch into a mergeable Delta through a
-// fresh ingest state of its own; see IngestState.NewDelta. It drops the
-// state without committing to it, since nothing would read what a
-// commit wrote.
+// fresh ingest state of its own; see IngestState.NewDelta.
 func NewDelta(records []dataset.Record) (*Delta, error) {
-	d, _, err := NewIngestState().stage(records)
-	return d, err
+	return NewIngestState().NewDelta(records)
 }
 
-// NewDelta parses one record batch into a mergeable Delta and, if the
-// batch parses, commits its new strings and prints to st. A record whose
-// wire bytes fail to parse poisons the whole batch: the error names the
-// offending index, st is left as it was, and the caller quarantines the
-// batch rather than merging a partial aggregate. Safe for concurrent
-// use.
+// NewDelta parses one record batch into a mergeable Delta. It first reads
+// every record's binary key, writing nothing: a record whose wire bytes
+// do not parse poisons the whole batch, the error names the offending
+// index, st is left as it was, and the caller quarantines the batch
+// rather than merging a partial aggregate. Only then does the batch
+// decode straight into a columnar store over st's intern table and
+// ingest with its own memo and dense print index; only a fingerprint st
+// has never seen builds its Key(). Safe for concurrent use.
 func (st *IngestState) NewDelta(records []dataset.Record) (*Delta, error) {
-	d, cx, err := st.stage(records)
-	if err != nil {
-		return nil, err
+	var buf [512]byte
+	for i, r := range records {
+		if _, err := fingerprint.AppendRecordKey(buf[:0], r.Raw); err != nil {
+			return nil, fmt.Errorf("analysis: record %d: %w", i, err)
+		}
 	}
-	cx.commit()
-	return d, nil
-}
-
-// stage parses one record batch without writing to st. The batch
-// decodes straight into a columnar store over an overlay of st's intern
-// table, then ingests with its own parse memo and dense print index;
-// only a fingerprint st has never seen builds its Key(). It returns the
-// ingest, whose commit adds what it staged to st.
-func (st *IngestState) stage(records []dataset.Record) (*Delta, *ingestCtx, error) {
-	tab := st.tab.Overlay()
-	cx := st.newCtx(tab)
 	var shard clientShard
-	shard.init(cx)
-	shard.ingest(dataset.RecordsFromRows(tab, records), 0)
+	shard.init(st.newCtx(st.tab))
+	shard.ingest(dataset.RecordsFromRows(st.tab, records), 0)
 	if shard.err != nil {
-		return nil, nil, fmt.Errorf("analysis: record %d: %w", shard.errIdx, shard.err)
+		return nil, fmt.Errorf("analysis: record %d: %w", shard.errIdx, shard.err)
 	}
-	return &Delta{agg: shard.finalize(), records: records}, cx, nil
+	return &Delta{agg: shard.finalize(), records: records}, nil
 }
 
 // MergeDelta folds a delta into the client. The merge is commutative

@@ -239,6 +239,79 @@ func TestSharedIngestStateMatchesBatch(t *testing.T) {
 	}
 }
 
+// relabellings returns rows under three stack_id assignments: one label
+// on every record, a unique label per record, and the rows' own labels
+// shuffled among them. A fingerprint is its hello's content, so none may
+// move any.
+func relabellings(rows []dataset.Record, seed int64) map[string][]dataset.Record {
+	out := map[string][]dataset.Record{}
+	relabel := func(name string, label func(i int) string) {
+		rs := append([]dataset.Record(nil), rows...)
+		for i := range rs {
+			rs[i].StackID = label(i)
+		}
+		out[name] = rs
+	}
+	relabel("one", func(int) string { return "one-label" })
+	relabel("unique", func(i int) string { return fmt.Sprintf("label-%d", i) })
+	perm := rand.New(rand.NewSource(seed)).Perm(len(rows))
+	relabel("shuffled", func(i int) string { return rows[perm[i]].StackID })
+	return out
+}
+
+// TestRelabellingMovesNoFingerprint relabels the records of seeds 1 and
+// 20231024 three ways (see relabellings) and checks every ingest path
+// against the unrelabelled records: NewClientWorkers over FromRecords,
+// NewDelta per 25-record batch, and IngestState.NewDelta per batch
+// through one state that ingests the unrelabelled batches first and then
+// every relabelling. Each must hold the same fingerprints and sets and
+// render the same client tables.
+func TestRelabellingMovesNoFingerprint(t *testing.T) {
+	matcher := libcorpus.NewMatcher()
+	for _, seed := range []int64{1, 20231024} {
+		rows := dataset.Generate(dataset.Config{Seed: seed, Scale: 0.1}).Records.Rows()
+		ref, err := analysis.NewClientWorkers(dataset.FromRecords(rows), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantDump, wantTables := accessorDump(ref), clientTables(ref, matcher)
+		check := func(what string, c *analysis.Client) {
+			t.Helper()
+			if accessorDump(c) != wantDump {
+				t.Fatalf("seed %d, %s: contents differ from the unrelabelled records' (%d vs %d fingerprints)",
+					seed, what, c.NumFingerprints(), ref.NumFingerprints())
+			}
+			if !bytes.Equal(clientTables(c, matcher), wantTables) {
+				t.Fatalf("seed %d, %s: client tables differ from the unrelabelled records'", seed, what)
+			}
+		}
+		shared := analysis.NewIngestState()
+		viaBatches := func(rs []dataset.Record, newDelta func([]dataset.Record) (*analysis.Delta, error)) *analysis.Client {
+			c := analysis.NewClientEmpty()
+			for lo := 0; lo < len(rs); lo += 25 {
+				d, err := newDelta(rs[lo:min(lo+25, len(rs))])
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.MergeDelta(d)
+			}
+			return c
+		}
+		check("shared state, unrelabelled", viaBatches(rows, shared.NewDelta))
+		relabelled := relabellings(rows, seed)
+		for _, name := range []string{"one", "unique", "shuffled"} {
+			rs := relabelled[name]
+			c, err := analysis.NewClientWorkers(dataset.FromRecords(rs), 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(name+" labels, NewClientWorkers", c)
+			check(name+" labels, NewDelta", viaBatches(rs, analysis.NewDelta))
+			check(name+" labels, shared state", viaBatches(rs, shared.NewDelta))
+		}
+	}
+}
+
 // paperBatches is the daemon-ingest workload's pool: the seed-20231024
 // paper-scale population in 25-record batches.
 func paperBatches() [][]dataset.Record {

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/dataset"
@@ -26,8 +28,8 @@ func setOf(m map[string]bool) StringSet {
 
 // newClientReference is the seed's sequential, cache-free ingestion loop:
 // every record is parsed individually into plain map sets, converted to
-// the sorted-set form at the end. It is the oracle for the per-stack
-// parse memoization, the sharded worker pool, and the symbol-space
+// the sorted-set form at the end. It is the oracle for the key-walk
+// memoization, the sharded worker pool, and the symbol-space
 // aggregation.
 func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 	t.Helper()
@@ -143,8 +145,7 @@ func plainMap[K comparable, V any](m *cowMap[K, V]) map[K]V {
 	return out
 }
 
-// refCacheKey is the (StackID, SNI-presence) pair the parse memo keys
-// on, in the seed's string form.
+// refCacheKey is a record's (StackID, SNI-presence) pair in string form.
 func refCacheKey(r dataset.Record) string {
 	if r.SNI != "" {
 		return r.StackID + "|s"
@@ -152,9 +153,11 @@ func refCacheKey(r dataset.Record) string {
 	return r.StackID + "|"
 }
 
-// TestStackParseCacheInvariant verifies the dataset invariant the parse
-// memoization depends on: every record with the same (StackID,
-// SNI-presence) pair yields the same fingerprint.
+// TestStackParseCacheInvariant verifies a property of the generator:
+// every record with the same (StackID, SNI-presence) pair yields the
+// same fingerprint. Ingest no longer relies on it — it keys on each
+// hello's content, and a record's label moves nothing — but the
+// generated stacks should still behave like stacks.
 func TestStackParseCacheInvariant(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 7, Scale: 0.5})
 	seen := map[string]string{}
@@ -218,15 +221,20 @@ func TestNewClientWorkersEquivalence(t *testing.T) {
 	}
 }
 
-// TestIngestParsesOncePerKey pins the parse-once guarantee: the shared
-// two-level memo parses each distinct (stack, SNI-presence) key exactly
-// once per run, regardless of worker count — the ingest_parses_total
-// counter equals the number of distinct keys, never the record count.
+// TestIngestParsesOncePerKey pins the resolve-once guarantee: every
+// record's binary key is read, but each distinct key — each distinct
+// fingerprint — is resolved exactly once per run, regardless of worker
+// count. The ingest_parses_total counter equals the number of distinct
+// keys, never the record count.
 func TestIngestParsesOncePerKey(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 11, Scale: 0.4})
 	distinct := map[string]bool{}
-	for _, r := range ds.Records.Rows() {
-		distinct[refCacheKey(r)] = true
+	for i, r := range ds.Records.Rows() {
+		ch, err := r.Hello()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		distinct[fingerprint.FromClientHello(ch).Key()] = true
 	}
 	var parsesPerWorkers []int64
 	for _, workers := range []int{1, 4, runtime.GOMAXPROCS(0)} {
@@ -236,7 +244,7 @@ func TestIngestParsesOncePerKey(t *testing.T) {
 		}
 		parses := m.Counter("ingest_parses_total").Value()
 		if parses != int64(len(distinct)) {
-			t.Fatalf("workers=%d: ingest_parses_total = %d, want %d (distinct parse keys)",
+			t.Fatalf("workers=%d: ingest_parses_total = %d, want %d (distinct keys)",
 				workers, parses, len(distinct))
 		}
 		if parses >= int64(ds.Records.Len()) {
@@ -252,19 +260,43 @@ func TestIngestParsesOncePerKey(t *testing.T) {
 	}
 }
 
+// TestIngestReportsLowestFailingRecord: a shard reads its records in
+// storage order and keeps going past a failure, so the error must still
+// name the lowest failing index, for every worker count.
+func TestIngestReportsLowestFailingRecord(t *testing.T) {
+	rows := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.05}).Records.Rows()
+	for _, i := range []int{len(rows) * 3 / 5, len(rows)*3/5 + 4, len(rows) - 1} {
+		rows[i].Raw = rows[i].Raw[:9]
+	}
+	ds := dataset.FromRecords(rows)
+	lowest := -1
+	for i := 0; i < ds.Records.Len() && lowest < 0; i++ {
+		if _, err := tlswire.ParseRecord(ds.Records.Raw(i)); err != nil {
+			lowest = i
+		}
+	}
+	want := fmt.Sprintf("analysis: record %d: ", lowest)
+	for _, workers := range []int{1, 2, 4, 7} {
+		_, err := NewClientWorkers(ds, workers)
+		if err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Fatalf("workers=%d: error %v, want one starting %q", workers, err, want)
+		}
+	}
+}
+
 // TestRejectedBatchLeavesStateUnchanged pins that only an accepted
 // batch grows a shared IngestState. A batch whose last record's wire
-// bytes do not parse is rejected after every other record was interned
-// and parsed; it must leave the state's table, arena and key registry
-// exactly as they were. The same batch without that record then
-// commits, and a re-send of it finds everything already there.
+// bytes do not parse is rejected; it must leave the state's strings and
+// registered prints exactly as they were. The same batch without that
+// record then adds both, and a re-send of it finds everything already
+// there.
 func TestRejectedBatchLeavesStateUnchanged(t *testing.T) {
 	rows := dataset.Generate(dataset.Config{Seed: 1, Scale: 0.2}).Records.Rows()
 	st := NewIngestState()
-	size := func() [3]int {
+	size := func() [2]int {
 		st.mu.RLock()
 		defer st.mu.RUnlock()
-		return [3]int{st.tab.Len(), st.arena.Len(), len(st.keys)}
+		return [2]int{st.tab.Len(), len(st.prints)}
 	}
 	if _, err := st.NewDelta(rows[:25]); err != nil {
 		t.Fatal(err)
@@ -280,13 +312,13 @@ func TestRejectedBatchLeavesStateUnchanged(t *testing.T) {
 		t.Fatal("a batch with a truncated record parsed")
 	}
 	if got := size(); got != before {
-		t.Fatalf("rejected batch changed the state's [strings, lists, keys] from %v to %v", before, got)
+		t.Fatalf("rejected batch changed the state's [strings, prints] from %v to %v", before, got)
 	}
 	if _, err := st.NewDelta(good); err != nil {
 		t.Fatal(err)
 	}
 	grown := size()
-	for i, what := range []string{"strings", "lists", "keys"} {
+	for i, what := range []string{"strings", "prints"} {
 		if grown[i] <= before[i] {
 			t.Fatalf("accepted batch added no %s (%v to %v); the test batch must carry new ones", what, before, grown)
 		}
@@ -295,13 +327,14 @@ func TestRejectedBatchLeavesStateUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := size(); got != grown {
-		t.Fatalf("re-sent batch changed the state's [strings, lists, keys] from %v to %v", grown, got)
+		t.Fatalf("re-sent batch changed the state's [strings, prints] from %v to %v", grown, got)
 	}
 }
 
 // TestColumnarRowRoundTrip checks the columnar store against its
 // row-shaped view on a seeded dataset: At(i) and Rows() agree with the
 // column accessors field by field, and Slice covers the same records.
+// The stack label has no column accessor; it is read through At(i).
 func TestColumnarRowRoundTrip(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 3, Scale: 0.3})
 	recs := ds.Records
@@ -316,9 +349,6 @@ func TestColumnarRowRoundTrip(t *testing.T) {
 		}
 		if got := tab.Str(recs.DeviceSym(i)); got != r.DeviceID {
 			t.Fatalf("record %d: DeviceSym -> %q, want %q", i, got, r.DeviceID)
-		}
-		if got := tab.Str(recs.StackSym(i)); got != r.StackID {
-			t.Fatalf("record %d: StackSym -> %q, want %q", i, got, r.StackID)
 		}
 		if got := tab.Str(recs.SNISym(i)); got != r.SNI {
 			t.Fatalf("record %d: SNISym -> %q, want %q", i, got, r.SNI)

@@ -14,6 +14,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/libcorpus"
+	"repro/internal/simnet"
 	"repro/internal/tlswire"
 )
 
@@ -401,7 +402,7 @@ func (c *Client) refTable5(minDevices int) []Table5Row {
 		for k := range prints {
 			key = k
 		}
-		id := tie{SLDOf(sni), key}
+		id := tie{simnet.SLDOf(sni), key}
 		a := tied[id]
 		if a == nil {
 			a = &agg{devices: map[string]bool{}, vendors: map[string]bool{}}

@@ -169,9 +169,8 @@ type Records struct {
 
 // RecordsFromRows builds a standalone columnar store from row-shaped
 // records (the service's batch-decode path), interning identities into
-// tab and packing wire bytes into chunks. tab may be an overlay: a
-// resident service interns each batch through an overlay of one
-// daemon-lifetime table, so a batch stages only the strings no earlier
+// tab and packing wire bytes into chunks. A resident service passes its
+// one daemon-lifetime table, so a batch adds only the strings no earlier
 // accepted batch carried.
 func RecordsFromRows(tab *intern.Table, rows []Record) Records {
 	c := &columns{tab: tab}
@@ -248,8 +247,40 @@ func (rs Records) UserSym(i int) intern.Symbol { return rs.c.user[rs.lo+i] }
 // SNI (Symbol 0 is always the empty string).
 func (rs Records) SNISym(i int) intern.Symbol { return rs.c.sni[rs.lo+i] }
 
-// StackSym returns record i's stack-ID symbol.
-func (rs Records) StackSym(i int) intern.Symbol { return rs.c.stack[rs.lo+i] }
+// StorageOrder returns the view's record indices ordered by where their
+// wire bytes are stored, by a radix sort on each record's byte offset.
+// Records are kept in time order, but their bytes stay where generation
+// wrote them, so a pass that reads every record's bytes runs more than
+// twice as fast in this order: it streams through the chunks instead of
+// missing the cache on nearly every record.
+func (rs Records) StorageOrder() []int32 {
+	if rs.Len() == 0 {
+		return nil // the zero view has no columns
+	}
+	order := make([]int32, rs.Len())
+	for i := range order {
+		order[i] = int32(i)
+	}
+	off := rs.c.rawOff[rs.lo:rs.hi]
+	tmp := make([]int32, len(order))
+	for shift := 0; shift < 32; shift += 8 {
+		var count [256]int32
+		for _, i := range order {
+			count[off[i]>>shift&0xFF]++
+		}
+		sum := int32(0)
+		for d, n := range count {
+			count[d], sum = sum, sum+n
+		}
+		for _, i := range order {
+			d := off[i] >> shift & 0xFF
+			tmp[count[d]] = i
+			count[d]++
+		}
+		order, tmp = tmp, order
+	}
+	return order
+}
 
 // TimeNS returns record i's observation time in Unix nanoseconds.
 func (rs Records) TimeNS(i int) int64 { return rs.c.timeNS[rs.lo+i] }

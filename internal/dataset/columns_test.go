@@ -37,3 +37,36 @@ func TestRawChunksKeepEveryRecord(t *testing.T) {
 		}
 	}
 }
+
+// TestStorageOrder: StorageOrder is a permutation of a view's indices
+// along which the records' byte offsets strictly increase. Generation
+// sorts records by time after writing their bytes, so on a generated
+// dataset the order differs from the index order, and a sub-view gets
+// its own order.
+func TestStorageOrder(t *testing.T) {
+	recs := Generate(Config{Seed: 1, Scale: 0.05}).Records
+	for _, view := range []Records{recs, recs.Slice(recs.Len()/3, recs.Len()-7)} {
+		order := view.StorageOrder()
+		if len(order) != view.Len() {
+			t.Fatalf("order has %d indices for %d records", len(order), view.Len())
+		}
+		seen := make([]bool, view.Len())
+		moved := false
+		for k, i := range order {
+			if seen[i] {
+				t.Fatalf("index %d appears twice", i)
+			}
+			seen[i] = true
+			moved = moved || int(i) != k
+			if k > 0 && view.c.rawOff[view.lo+int(order[k-1])] >= view.c.rawOff[view.lo+int(i)] {
+				t.Fatalf("offsets do not increase at position %d", k)
+			}
+		}
+		if !moved {
+			t.Fatal("storage order equals index order on a generated dataset")
+		}
+	}
+	if order := (Records{}).StorageOrder(); len(order) != 0 {
+		t.Fatalf("zero view's order = %v", order)
+	}
+}

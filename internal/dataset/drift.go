@@ -109,8 +109,8 @@ func upgradeEntryFor(seed int64, stackID string, upAt time.Time) libcorpus.Moder
 
 // fwStackPrefix marks upgraded stack identities. The prefix embeds the
 // library the firmware rebuilt on, so upgraded records intern fresh
-// stack symbols — the analysis layer's (stack, SNI) parse memo stays
-// sound because a symbol still maps to exactly one set of hello bytes.
+// stack symbols — the (stack, SNI) hello-template cache stays sound
+// because a symbol still maps to exactly one set of hello bytes.
 const fwStackPrefix = "fw:"
 
 // applyFirmwareDrift re-stamps the records of every device upgraded by

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"bytes"
 	"sort"
 
 	"repro/internal/intern"
@@ -10,11 +11,13 @@ import (
 // alone — the ingest service's path from an accepted record stream back
 // to a batch-equivalent dataset. Devices are rebuilt from the identity
 // fields every record carries (no Stacks: nothing downstream of
-// generation reads them), sorted by ID; records are sorted by
-// (Time, DeviceID, StackID, SNI) and re-packed into a fresh columnar
-// store. The result depends only on the *set* of records, never on
-// arrival order, so two services that accepted the same records — or a
-// service and a batch run — produce byte-identical reports.
+// generation reads them), sorted by ID; records are sorted by every
+// field — (Time, DeviceID, StackID, SNI, Vendor, Model, Type, User,
+// Raw) — and re-packed into a fresh columnar store, and a device takes
+// its identity fields from its first record. Rows tied on every field
+// are identical, so the result depends only on the *set* of records,
+// never on arrival order: two services that accepted the same records —
+// or a service and a batch run — produce byte-identical reports.
 func FromRecords(records []Record) *Dataset {
 	ds := &Dataset{
 		SDKStacks:   map[string]*Stack{},
@@ -32,7 +35,22 @@ func FromRecords(records []Record) *Dataset {
 		if a.StackID != b.StackID {
 			return a.StackID < b.StackID
 		}
-		return a.SNI < b.SNI
+		if a.SNI != b.SNI {
+			return a.SNI < b.SNI
+		}
+		if a.Vendor != b.Vendor {
+			return a.Vendor < b.Vendor
+		}
+		if a.Model != b.Model {
+			return a.Model < b.Model
+		}
+		if a.Type != b.Type {
+			return a.Type < b.Type
+		}
+		if a.User != b.User {
+			return a.User < b.User
+		}
+		return bytes.Compare(a.Raw, b.Raw) < 0
 	})
 	ds.Records = RecordsFromRows(intern.NewTable(), rows)
 	devByID := map[string]*Device{}

@@ -38,15 +38,69 @@ func FromClientHello(ch *tlswire.ClientHello) Fingerprint {
 	}
 }
 
-// FromClientHelloOwned is FromClientHello for callers that own ch and
-// will not mutate it afterwards: the fingerprint aliases
-// ch.CipherSuites instead of copying it. The parse-once ingestion path
-// uses this on hellos it just parsed and immediately discards.
-func FromClientHelloOwned(ch *tlswire.ClientHello) Fingerprint {
+// AppendBinaryKey appends f's binary key to b: the version, the suite
+// count, the suites, then the extension types, each as two big-endian
+// bytes. Two fingerprints have the same binary key iff they have the
+// same Key(); the binary form costs no hex formatting, and built into a
+// caller's stack buffer it allocates nothing, so hot maps key on it.
+func (f Fingerprint) AppendBinaryKey(b []byte) []byte {
+	n := len(f.CipherSuites)
+	b = append(b, byte(f.Version>>8), byte(f.Version), byte(n>>8), byte(n))
+	for _, cs := range f.CipherSuites {
+		b = append(b, byte(cs>>8), byte(cs))
+	}
+	for _, e := range f.Extensions {
+		b = append(b, byte(e>>8), byte(e))
+	}
+	return b
+}
+
+// AppendRecordKey appends to b the binary key of the fingerprint of the
+// ClientHello in the TLS record rec, without parsing it: one walk over
+// the wire bytes that allocates nothing beyond growing b. It reads rec
+// through tlswire.ViewRecord and its extension walk and takes the
+// version by tlswire.MaxSupported, as tlswire.ParseRecord and
+// EffectiveVersion do, so it fails exactly where ParseRecord fails, with
+// the same error, and otherwise yields FromClientHello's key. On error
+// it returns b as passed.
+func AppendRecordKey(b, rec []byte) ([]byte, error) {
+	v, err := tlswire.ViewRecord(rec)
+	if err != nil {
+		return b, err
+	}
+	n := len(v.Suites) / 2
+	// The version is patched in once the walk has seen every
+	// supported_versions extension.
+	key := append(b, 0, 0, byte(n>>8), byte(n))
+	key = append(key, v.Suites...)
+	version := v.LegacyVersion
+	w := v.Extensions()
+	for t, data, ok := w.Next(); ok; t, data, ok = w.Next() {
+		key = append(key, byte(t>>8), byte(t))
+		if t == tlswire.ExtSupportedVersions {
+			version = tlswire.MaxSupported(version, data)
+		}
+	}
+	if err := w.Err(); err != nil {
+		return b, err
+	}
+	binary.BigEndian.PutUint16(key[len(b):], uint16(version))
+	return key, nil
+}
+
+// FromBinaryKey rebuilds the fingerprint whose AppendBinaryKey is k. The
+// suite and extension lists share one backing array, each
+// capacity-clamped.
+func FromBinaryKey(k []byte) Fingerprint {
+	n := int(binary.BigEndian.Uint16(k[2:]))
+	vals := make([]uint16, (len(k)-4)/2)
+	for i := range vals {
+		vals[i] = binary.BigEndian.Uint16(k[4+2*i:])
+	}
 	return Fingerprint{
-		Version:      ch.EffectiveVersion(),
-		CipherSuites: ch.CipherSuites,
-		Extensions:   ch.ExtensionTypes(),
+		Version:      tlswire.Version(binary.BigEndian.Uint16(k)),
+		CipherSuites: vals[:n:n],
+		Extensions:   vals[n:],
 	}
 }
 
@@ -54,9 +108,8 @@ func FromClientHelloOwned(ch *tlswire.ClientHello) Fingerprint {
 // "version|cs1-cs2-...|ext1-ext2-...". Two ClientHellos have the same Key
 // iff they share the study's 3-tuple fingerprint.
 //
-// Key is on the ingestion hot path (once per ClientHello record and once
-// per corpus entry), so it appends hex digits directly instead of going
-// through fmt.
+// Ingest builds it once per distinct fingerprint, not per record, and it
+// appends hex digits directly instead of going through fmt.
 func (f Fingerprint) Key() string {
 	// Exact length up front, built via strings.Builder so the key costs
 	// one allocation (the []byte+string(b) version cost two).

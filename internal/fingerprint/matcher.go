@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/intern"
 	"repro/internal/tlswire"
 )
 
@@ -37,16 +36,15 @@ type Matcher struct {
 	// entries is the corpus sorted by family then version (Entries
 	// order), sorted once at build time.
 	entries []LibraryEntry
-	// byInternedBest resolves the highest-version entry per distinct
-	// fingerprint at build time, so MatchExact is a single map hit
-	// instead of a version scan per call. It is keyed by the print
-	// interned into arena: MatchExact interns the query's suite and
-	// extension lists (alloc-free once warm) instead of building the
-	// 2-alloc Key() string per call. Interned identity and Key()
-	// identity partition fingerprints identically — both encode the
-	// exact (version, suites, extensions) tuple.
-	arena          *intern.Arena
-	byInternedBest map[Interned]LibraryEntry
+	// byKey resolves the highest-version entry per distinct fingerprint
+	// at build time, so MatchExact is a single map hit instead of a
+	// version scan per call. It is keyed by the binary key, which
+	// MatchExact builds in a stack buffer: a query allocates nothing and
+	// leaves nothing behind. The entries are pointers so that a higher
+	// version replaces the best in place: the corpus has thousands of
+	// entries over a few dozen prints, and re-inserting would allocate
+	// the key string once per entry.
+	byKey map[string]*LibraryEntry
 
 	// Semantic index: the corpus collapses to few distinct ciphersuite
 	// lists (curl builds only vary extensions), so the B.2 matcher scans
@@ -57,7 +55,8 @@ type Matcher struct {
 
 	// semMu/semMemo memoize MatchSemantics by device suite-list key: the
 	// component-set scan runs once per distinct list and every table
-	// (Table 11, Figure 8, ...) shares the result.
+	// (Table 11, Figure 8, ...) shares the result. The memo stops taking
+	// lists at semMemoCap (see MatchSemantics).
 	semMu   sync.RWMutex
 	semMemo map[string]SemanticsMatch
 
@@ -81,16 +80,19 @@ type suiteGroup struct {
 // NewMatcher builds a matcher over the given corpus.
 func NewMatcher(entries []LibraryEntry) *Matcher {
 	m := &Matcher{
-		arena:          intern.NewArena(),
-		byInternedBest: make(map[Interned]LibraryEntry, len(entries)),
-		byOrderedKey:   map[string]*suiteGroup{},
-		bySortedKey:    map[string][]*suiteGroup{},
-		semMemo:        map[string]SemanticsMatch{},
+		byKey:        map[string]*LibraryEntry{},
+		byOrderedKey: map[string]*suiteGroup{},
+		bySortedKey:  map[string][]*suiteGroup{},
+		semMemo:      map[string]SemanticsMatch{},
 	}
+	var key []byte
 	for _, e := range entries {
-		in := e.Print.Intern(m.arena)
-		if best, ok := m.byInternedBest[in]; !ok || versionLess(best.Version, e.Version) {
-			m.byInternedBest[in] = e
+		key = e.Print.AppendBinaryKey(key[:0])
+		if best, ok := m.byKey[string(key)]; !ok {
+			first := e
+			m.byKey[string(key)] = &first
+		} else if versionLess(best.Version, e.Version) {
+			*best = e
 		}
 
 		okey := suiteListKey(e.Print.CipherSuites)
@@ -141,7 +143,7 @@ func (m *Matcher) CorpusSize() int { return len(m.entries) }
 
 // DistinctFingerprints returns how many distinct fingerprints the corpus
 // contains (consecutive library versions often share a fingerprint).
-func (m *Matcher) DistinctFingerprints() int { return len(m.byInternedBest) }
+func (m *Matcher) DistinctFingerprints() int { return len(m.byKey) }
 
 // MatchExact returns the known library matching the fingerprint exactly on
 // the 3-tuple, if any. When several versions share the fingerprint, the
@@ -149,9 +151,17 @@ func (m *Matcher) DistinctFingerprints() int { return len(m.byInternedBest) }
 // i through j share fingerprint F we report version j"). The winning
 // version per key is resolved once at NewMatcher time.
 func (m *Matcher) MatchExact(f Fingerprint) (LibraryEntry, bool) {
-	best, ok := m.byInternedBest[f.Intern(m.arena)]
-	return best, ok
+	var buf [exactKeyBuf]byte
+	if best, ok := m.byKey[string(f.AppendBinaryKey(buf[:0]))]; ok {
+		return *best, true
+	}
+	return LibraryEntry{}, false
 }
+
+// exactKeyBuf sizes the stack buffer MatchExact builds a query's binary
+// key in: room for 250 suites and extension types together, more than
+// any corpus or device print carries. A longer key spills to the heap.
+const exactKeyBuf = 504
 
 // SemanticsMatch is the result of the semantics-aware matcher: the best
 // category achieved across the corpus and the closest library under that
@@ -170,7 +180,10 @@ type SemanticsMatch struct {
 //
 // Results are memoized per distinct suite list (thread-safe), so the
 // expensive component-set scan happens once per list no matter how many
-// tables replay the corpus.
+// tables replay the corpus. A resident service queries one Matcher for
+// its whole life, so the memo takes no list past semMemoCap: later lists
+// are computed on every query, and lists already memoized keep their
+// hits.
 func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
 	memoKey := suiteListKey(deviceSuites)
 	m.semMu.RLock()
@@ -181,10 +194,16 @@ func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
 	}
 	res := m.matchSemanticsUncached(deviceSuites)
 	m.semMu.Lock()
-	m.semMemo[memoKey] = res
+	if len(m.semMemo) < semMemoCap {
+		m.semMemo[memoKey] = res
+	}
 	m.semMu.Unlock()
 	return res
 }
+
+// semMemoCap bounds the MatchSemantics memo. Seed 20231024 has 770
+// distinct suite lists at paper scale and 4,663 at scale 10.
+const semMemoCap = 1 << 16
 
 // matchSemanticsUncached is the memo-free matcher body.
 func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
@@ -253,10 +272,10 @@ func (m *Matcher) matchSemanticsUncached(deviceSuites []uint16) SemanticsMatch {
 func (m *Matcher) ExtensionCounts() (map[tlswire.ExtensionType]int, int) {
 	m.extOnce.Do(func() {
 		m.extCounts = map[tlswire.ExtensionType]int{}
-		m.extPrints = len(m.byInternedBest)
+		m.extPrints = len(m.byKey)
 		seen := map[tlswire.ExtensionType]int{}
 		i := 0
-		for _, e := range m.byInternedBest {
+		for _, e := range m.byKey {
 			i++
 			for _, ext := range e.Print.Extensions {
 				et := tlswire.ExtensionType(ext)

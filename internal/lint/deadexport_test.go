@@ -58,8 +58,6 @@ var deadExportKeep = map[string]string{
 	"internal/graph.Bipartite.NumLefts":                 "graph size the graph tests assert and the Figure 3/4 benchmarks print",
 	"internal/graph.Bipartite.NumRights":                "graph size the graph tests assert and the Figure 3/4 benchmarks print",
 	"internal/graph.Bipartite.RightDegree":              "degree the graph tests assert",
-	"internal/intern.Arena.Get":                         "read side of the arena; tests check Put round-trips and dedups through it",
-	"internal/intern.Arena.Len":                         "arena size the dedup tests assert",
 	"internal/intern.Table.Len":                         "table size the intern tests assert",
 	"internal/labdata.Dataset.SNIs":                     "distinct lab SNIs the capture tests assert",
 	"internal/lint.Loader.TypeChecks":                   "type-check counter TestSharedLoaderMemoizes proves the cache with",

@@ -10,9 +10,10 @@ import (
 // direct Fingerprint.Key() call. Key() marshals the fingerprint into a
 // fresh string on every invocation (two allocations per lookup), so a
 // map probe inside a per-record loop pays that cost once per record.
-// The interned form (fingerprint.Interned) is a comparable 12-byte
-// value computed once per distinct fingerprint; hot maps key on it, or
-// on a hoisted key string computed outside the loop.
+// The binary key (Fingerprint.AppendBinaryKey, or
+// fingerprint.AppendRecordKey straight from the wire bytes) builds into
+// a caller's stack buffer and allocates nothing on a map probe; hot maps
+// key on it, or on a hoisted key string computed outside the loop.
 //
 // Only the direct call-in-index shape is flagged — `m[f.Key()]` — a
 // Key() hoisted into a variable before the loop is clean.
@@ -20,8 +21,8 @@ func Hotkey() *Analyzer {
 	a := &Analyzer{
 		Name: "hotkey",
 		Doc: "flags map indexing keyed by a direct Fingerprint.Key() call; Key allocates " +
-			"per invocation — intern the fingerprint (fingerprint.Interned) or hoist " +
-			"the key out of the loop",
+			"per invocation — key on the binary key (Fingerprint.AppendBinaryKey into a " +
+			"stack buffer) or hoist the key out of the loop",
 	}
 	a.Run = func(pass *Pass) error {
 		for _, f := range pass.Files {
@@ -51,7 +52,7 @@ func Hotkey() *Analyzer {
 				}
 				pass.Reportf(ix.Index.Pos(),
 					"map indexed by Fingerprint.Key(), which allocates per call; "+
-						"intern the fingerprint (fingerprint.Interned) or hoist the key")
+						"key on the binary key (Fingerprint.AppendBinaryKey) or hoist the key")
 				return true
 			})
 		}

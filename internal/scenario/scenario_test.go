@@ -210,8 +210,8 @@ func TestShortMatrixFull(t *testing.T) {
 }
 
 // TestServiceCells: every service-mode cell passes its laws —
-// conservation, deterministic shedding, and drained-report equivalence
-// with the batch pipeline.
+// conservation, deterministic shedding, drained-report equivalence with
+// the batch pipeline, and a batch report no stack_id relabelling moves.
 func TestServiceCells(t *testing.T) {
 	cells := ServiceCases()
 	if len(cells) < 3 {

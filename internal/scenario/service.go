@@ -132,7 +132,11 @@ func runServiceCell(ctx context.Context, c ServiceCase) (*service.Service, error
 //     identical conservation profile (every shed decision replays);
 //   - batch equivalence — the drained daemon's final report is
 //     byte-identical to a fresh core.Run over the same accepted
-//     records, across different worker counts.
+//     records, across different worker counts;
+//   - label invariance — core.Run over the accepted records with every
+//     stack_id set to one label is byte-identical to that batch report:
+//     a fingerprint is its hello's content, not the label a client
+//     sends with it.
 func RunServiceCase(ctx context.Context, c ServiceCase) (ServiceResult, []Violation, error) {
 	name := c.Name()
 	res := ServiceResult{Case: name}
@@ -204,6 +208,23 @@ func RunServiceCase(ctx context.Context, c ServiceCase) (ServiceResult, []Violat
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		defect("service-batch-equivalence", "drained report diverges from batch core.Run over the accepted records: %s",
 			LineDiff(got.Bytes(), want.Bytes(), 5))
+	}
+
+	relabelled := append([]dataset.Record(nil), accepted...)
+	for i := range relabelled {
+		relabelled[i].StackID = "relabelled"
+	}
+	labelCfg := batchCfg
+	labelCfg.Dataset = dataset.FromRecords(relabelled)
+	study, err = core.Run(ctx, labelCfg)
+	if err != nil {
+		return res, vs, fmt.Errorf("scenario: %s: relabelled run: %w", name, err)
+	}
+	var relabelledReport bytes.Buffer
+	study.WriteReport(&relabelledReport)
+	if !bytes.Equal(relabelledReport.Bytes(), want.Bytes()) {
+		defect("service-label-invariance", "one stack_id on every accepted record changes the batch report: %s",
+			LineDiff(relabelledReport.Bytes(), want.Bytes(), 5))
 	}
 
 	res.Violations = len(vs)

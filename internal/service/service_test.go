@@ -128,6 +128,53 @@ func TestDeltaMergeMatchesBatch(t *testing.T) {
 	}
 }
 
+// TestFinalReportIgnoresStackLabels: a fingerprint is its hello's
+// content, so the drained daemon's final report over relabelled records
+// is byte-identical to the one over the records as generated, at seeds 1
+// and 20231024, under one label on every record, a unique label per
+// record, and the records' own labels shuffled among them.
+func TestFinalReportIgnoresStackLabels(t *testing.T) {
+	report := func(seed int64, recs []dataset.Record) []byte {
+		t.Helper()
+		s := New(Options{Seed: seed, Workers: 2, QueueDepth: 4096, SourceBudget: 4096})
+		for i, b := range batches(recs, 25) {
+			if got := s.Submit(fmt.Sprintf("src-%d", i%3), b); !got.Accepted() {
+				t.Fatalf("batch %d: outcome %v", i, got)
+			}
+		}
+		drain(t, s)
+		cfg := core.DefaultConfig()
+		cfg.Seed, cfg.Scale, cfg.Workers = seed, 0.05, 2
+		var buf bytes.Buffer
+		if err := s.FinalReport(context.Background(), &buf, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, seed := range []int64{1, 20231024} {
+		recs := dataset.Generate(dataset.Config{Seed: seed, Scale: 0.05}).Records.Rows()
+		want := report(seed, recs)
+		perm := rand.New(rand.NewSource(seed)).Perm(len(recs))
+		for _, rl := range []struct {
+			name  string
+			label func(i int) string
+		}{
+			{"one", func(int) string { return "one-label" }},
+			{"unique", func(i int) string { return fmt.Sprintf("label-%d", i) }},
+			{"shuffled", func(i int) string { return recs[perm[i]].StackID }},
+		} {
+			rs := append([]dataset.Record(nil), recs...)
+			for i := range rs {
+				rs[i].StackID = rl.label(i)
+			}
+			if got := report(seed, rs); !bytes.Equal(got, want) {
+				t.Fatalf("seed %d, %s labels: final report differs from the unrelabelled records' (%d vs %d bytes)",
+					seed, rl.name, len(got), len(want))
+			}
+		}
+	}
+}
+
 // TestOverloadShedDeterministicAndConserved: with workers paused the
 // admission sequence is a pure function of the seed and submit order,
 // so two identical runs shed identically; conservation holds after the

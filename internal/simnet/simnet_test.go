@@ -26,6 +26,14 @@ func TestSLDOf(t *testing.T) {
 		"roku.com":          "roku.com",
 		"x.y.z.amazon.com":  "amazon.com",
 		"time.pool.ntp.org": "pool.ntp.org",
+		"api.roku.com.":     "com.",
+		"a..roku.com":       "roku.com",
+		"a..com":            ".com",
+		"co.uk":             "co.uk",
+		"a.co.uk":           "a.co.uk",
+		"pool.ntp.org":      "pool.ntp.org",
+		"localhost":         "localhost",
+		"":                  "",
 	}
 	for in, want := range cases {
 		if got := SLDOf(in); got != want {

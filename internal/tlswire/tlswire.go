@@ -235,26 +235,34 @@ func (ch *ClientHello) HasExtension(t ExtensionType) bool {
 func (ch *ClientHello) EffectiveVersion() Version {
 	best := ch.LegacyVersion
 	for _, e := range ch.Extensions {
-		if e.Type != ExtSupportedVersions {
+		if e.Type == ExtSupportedVersions {
+			best = MaxSupported(best, e.Data)
+		}
+	}
+	return best
+}
+
+// MaxSupported is EffectiveVersion's step for one supported_versions
+// payload: the highest of best and every known, non-GREASE version the
+// payload lists. A payload whose length byte overruns it changes
+// nothing. A hello read in place applies the same step to each
+// supported_versions extension its walk meets.
+func MaxSupported(best Version, payload []byte) Version {
+	if len(payload) < 1 {
+		return best
+	}
+	n := int(payload[0])
+	d := payload[1:]
+	if n > len(d) {
+		return best
+	}
+	for i := 0; i+1 < n; i += 2 {
+		v := Version(binary.BigEndian.Uint16(d[i:]))
+		if IsGREASEExtension(uint16(v)) {
 			continue
 		}
-		d := e.Data
-		if len(d) < 1 {
-			continue
-		}
-		n := int(d[0])
-		d = d[1:]
-		if n > len(d) {
-			continue
-		}
-		for i := 0; i+1 < n; i += 2 {
-			v := Version(binary.BigEndian.Uint16(d[i:]))
-			if IsGREASEExtension(uint16(v)) {
-				continue
-			}
-			if v.Known() && v > best {
-				best = v
-			}
+		if v.Known() && v > best {
+			best = v
 		}
 	}
 	return best
@@ -347,43 +355,74 @@ func (ch *ClientHello) marshalBody() ([]byte, error) {
 }
 
 // ParseRecord parses a full TLS record assumed to contain a ClientHello.
+// It reads the record through ViewRecord and its extension walk, then
+// copies the view, so it accepts exactly the records a view accepts.
 func ParseRecord(data []byte) (*ClientHello, error) {
+	v, err := ViewRecord(data)
+	if err != nil {
+		return nil, err
+	}
+	return v.hello()
+}
+
+// HelloView is a ClientHello read in place: every field aliases the wire
+// bytes it was read from, so reading one allocates nothing. ViewRecord
+// checks every length field up to the extension block, and the
+// extension walk checks each extension's header as it reaches it.
+// ParseRecord runs the same two steps, so a record whose view and walk
+// succeed is exactly a record ParseRecord accepts.
+type HelloView struct {
+	// LegacyVersion is the client_version field.
+	LegacyVersion Version
+	// Suites is the ciphersuite list as sent: two big-endian bytes per
+	// suite.
+	Suites []byte
+	// random, sessionID and compression are the client random, the
+	// legacy session id and the legacy compression list; exts is the
+	// extension block, without its length.
+	random, sessionID, compression, exts []byte
+}
+
+// ViewRecord reads a full TLS record assumed to contain a ClientHello,
+// without copying it. Walk the extensions with Extensions.
+func ViewRecord(data []byte) (v HelloView, err error) {
 	if len(data) < 5 {
-		return nil, ErrTruncated
+		return v, ErrTruncated
 	}
 	if data[0] != recordTypeHandshake {
-		return nil, ErrNotHandshake
+		return v, ErrNotHandshake
 	}
 	recLen := int(binary.BigEndian.Uint16(data[3:5]))
 	if 5+recLen > len(data) {
-		return nil, ErrTruncated
+		return v, ErrTruncated
 	}
-	return ParseHandshake(data[5 : 5+recLen])
+	err = v.readHandshake(data[5 : 5+recLen])
+	return v, err
 }
 
-// ParseHandshake parses a handshake message (type + 3-byte length + body)
-// expected to be a ClientHello.
-func ParseHandshake(data []byte) (*ClientHello, error) {
+// readHandshake reads a handshake message (type + 3-byte length + body)
+// expected to be a ClientHello into v. The readers fill v in place:
+// returning the view by value from each would copy it at every level.
+func (v *HelloView) readHandshake(data []byte) error {
 	if len(data) < 4 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if data[0] != handshakeClientHello {
-		return nil, ErrNotClientHello
+		return ErrNotClientHello
 	}
 	bodyLen := int(data[1])<<16 | int(data[2])<<8 | int(data[3])
 	if 4+bodyLen > len(data) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	return parseBody(data[4 : 4+bodyLen])
+	return v.readBody(data[4 : 4+bodyLen])
 }
 
-func parseBody(b []byte) (*ClientHello, error) {
-	ch := &ClientHello{}
+func (v *HelloView) readBody(b []byte) error {
 	if len(b) < 2+32+1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	ch.LegacyVersion = Version(binary.BigEndian.Uint16(b))
-	copy(ch.Random[:], b[2:34])
+	v.LegacyVersion = Version(binary.BigEndian.Uint16(b))
+	v.random = b[2:34:34]
 	b = b[34:]
 	sidLen := int(b[0])
 	b = b[1:]
@@ -393,90 +432,122 @@ func parseBody(b []byte) (*ClientHello, error) {
 	// not be stricter than the stacks it observes (found by the
 	// crypto/tls differential oracle).
 	if sidLen > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	ch.SessionID = append([]byte(nil), b[:sidLen]...)
+	v.sessionID = b[:sidLen:sidLen]
 	b = b[sidLen:]
 	if len(b) < 2 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	csLen := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if csLen%2 != 0 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	if csLen > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	ch.CipherSuites = make([]uint16, csLen/2)
-	for i := range ch.CipherSuites {
-		ch.CipherSuites[i] = binary.BigEndian.Uint16(b[2*i:])
-	}
+	v.Suites = b[:csLen:csLen]
 	b = b[csLen:]
 	if len(b) < 1 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	compLen := int(b[0])
 	b = b[1:]
 	if compLen > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	compView := b[:compLen]
+	v.compression = b[:compLen:compLen]
 	b = b[compLen:]
 	if len(b) == 0 {
-		ch.CompressionMethods = append([]byte(nil), compView...)
-		return ch, nil // extensions are optional (SSL3/old stacks)
+		return nil // extensions are optional (SSL3/old stacks)
 	}
 	if len(b) < 2 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	extLen := int(binary.BigEndian.Uint16(b))
 	b = b[2:]
 	if extLen > len(b) {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	b = b[:extLen]
-	// Pre-scan the block to count extensions and total payload bytes:
-	// the extension slice and one shared payload backing then allocate
-	// exactly once, instead of growing per extension.
+	v.exts = b[:extLen:extLen]
+	return nil
+}
+
+// Extensions returns a walk over the view's extensions, in order.
+func (v *HelloView) Extensions() ExtensionWalk { return ExtensionWalk{rest: v.exts} }
+
+// ExtensionWalk steps through an extension block, checking each entry's
+// header against what is left of the block.
+type ExtensionWalk struct {
+	rest []byte
+	err  error
+}
+
+// Next returns the next extension's type and payload, which aliases the
+// wire bytes. ok is false at the end of the block, and at an entry that
+// overruns it; Err tells the two apart.
+func (w *ExtensionWalk) Next() (t ExtensionType, data []byte, ok bool) {
+	r := w.rest
+	if len(r) >= 4 {
+		if end := 4 + (int(r[2])<<8 | int(r[3])); end <= len(r) {
+			w.rest = r[end:]
+			return ExtensionType(r[0])<<8 | ExtensionType(r[1]), r[4:end:end], true
+		}
+	}
+	if len(r) > 0 {
+		w.rest, w.err = nil, ErrTruncated
+	}
+	return 0, nil, false
+}
+
+// Err returns the error that ended the walk, or nil if it reached the
+// end of the block.
+func (w *ExtensionWalk) Err() error { return w.err }
+
+// hello copies the view into a ClientHello that owns its bytes.
+func (v *HelloView) hello() (*ClientHello, error) {
+	ch := &ClientHello{LegacyVersion: v.LegacyVersion}
+	copy(ch.Random[:], v.random)
+	ch.SessionID = append([]byte(nil), v.sessionID...)
+	ch.CipherSuites = make([]uint16, len(v.Suites)/2)
+	for i := range ch.CipherSuites {
+		ch.CipherSuites[i] = binary.BigEndian.Uint16(v.Suites[2*i:])
+	}
+	// A first walk checks the block and counts extensions and payload
+	// bytes: the extension slice and one shared payload backing then
+	// allocate exactly once, instead of growing per extension.
 	nExt, dataLen := 0, 0
-	for rest := b; len(rest) > 0; {
-		if len(rest) < 4 {
-			return nil, ErrTruncated
-		}
-		el := int(binary.BigEndian.Uint16(rest[2:]))
-		rest = rest[4:]
-		if el > len(rest) {
-			return nil, ErrTruncated
-		}
+	w := v.Extensions()
+	for _, data, ok := w.Next(); ok; _, data, ok = w.Next() {
 		nExt++
-		dataLen += el
-		rest = rest[el:]
+		dataLen += len(data)
+	}
+	if err := w.Err(); err != nil {
+		return nil, err
 	}
 	if nExt == 0 {
-		ch.CompressionMethods = append([]byte(nil), compView...)
+		ch.CompressionMethods = append([]byte(nil), v.compression...)
 		return ch, nil
 	}
 	// The compression list shares the payload backing: one copy buffer
 	// serves both it and every extension body.
+	compLen := len(v.compression)
 	ch.Extensions = make([]Extension, 0, nExt)
 	buf := make([]byte, 0, compLen+dataLen)
 	if compLen > 0 { // keep nil (not empty) for a zero-length list
-		buf = append(buf, compView...)
+		buf = append(buf, v.compression...)
 		ch.CompressionMethods = buf[0:compLen:compLen]
 	}
-	for len(b) > 0 {
-		et := ExtensionType(binary.BigEndian.Uint16(b))
-		el := int(binary.BigEndian.Uint16(b[2:]))
-		b = b[4:]
-		var data []byte
-		if el > 0 {
+	w = v.Extensions()
+	for t, data, ok := w.Next(); ok; t, data, ok = w.Next() {
+		var owned []byte
+		if len(data) > 0 {
 			off := len(buf)
-			buf = append(buf, b[:el]...)
-			data = buf[off : off+el : off+el]
+			buf = append(buf, data...)
+			owned = buf[off : off+len(data) : off+len(data)]
 		}
-		ch.Extensions = append(ch.Extensions, Extension{Type: et, Data: data})
-		b = b[el:]
+		ch.Extensions = append(ch.Extensions, Extension{Type: t, Data: owned})
 	}
 	return ch, nil
 }

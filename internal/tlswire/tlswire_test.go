@@ -265,7 +265,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 func TestPropertyParseNeverPanics(t *testing.T) {
 	f := func(data []byte) bool {
 		_, _ = ParseRecord(data)
-		_, _ = ParseHandshake(data)
+		_, _ = parseHandshake(data)
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
