@@ -8,6 +8,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -64,9 +65,8 @@ type sharedState struct {
 	prints cowMap[string, *FingerprintInfo]
 	// devicePrints maps device -> set of fingerprint keys.
 	devicePrints cowMap[string, StringSet]
-	// deviceVendor and deviceType index device metadata.
-	deviceVendor cowMap[string, string]
-	deviceType   cowMap[string, string]
+	// devices maps each known device to its identity.
+	devices cowMap[string, deviceIdentity]
 	// versionCounts tallies proposals per TLS version (Table 12).
 	versionCounts cowMap[tlswire.Version, int]
 	// sniDevices maps each SNI to the devices that visited it.
@@ -84,8 +84,7 @@ func NewClientEmpty() *Client {
 		gen:           nextGen(),
 		prints:        cowMap[string, *FingerprintInfo]{hash: hashString},
 		devicePrints:  cowMap[string, StringSet]{hash: hashString},
-		deviceVendor:  cowMap[string, string]{hash: hashString},
-		deviceType:    cowMap[string, string]{hash: hashString},
+		devices:       cowMap[string, deviceIdentity]{hash: hashString},
 		versionCounts: cowMap[tlswire.Version, int]{hash: hashVersion},
 		sniDevices:    cowMap[string, StringSet]{hash: hashString},
 	}}
@@ -110,14 +109,14 @@ func (c *Client) DevicePrints(dev string) StringSet {
 
 // DeviceVendor returns a device's vendor ("" for an unknown device).
 func (c *Client) DeviceVendor(dev string) string {
-	v, _ := c.deviceVendor.get(dev)
-	return v
+	d, _ := c.devices.get(dev)
+	return d.vendor
 }
 
 // DeviceType returns a device's type ("" for an unknown device).
 func (c *Client) DeviceType(dev string) string {
-	t, _ := c.deviceType.get(dev)
-	return t
+	d, _ := c.devices.get(dev)
+	return d.typ
 }
 
 // SNIDevices returns the devices that visited sni.
@@ -127,7 +126,7 @@ func (c *Client) SNIDevices(sni string) StringSet {
 }
 
 // Devices returns every known device ID in sorted order.
-func (c *Client) Devices() []string { return sortedKeys(&c.deviceVendor) }
+func (c *Client) Devices() []string { return sortedKeys(&c.devices) }
 
 // SNIs returns every SNI some device visited, in sorted order.
 func (c *Client) SNIs() []string { return sortedKeys(&c.sniDevices) }
@@ -212,16 +211,37 @@ func (c *Client) unionInto(m *cowMap[string, StringSet], e keyedSet) {
 	}
 }
 
-// setDevice records a device's vendor and type, writing only the values
-// that change. It drops the index.
-func (c *Client) setDevice(id, vendor, typ string) {
+// deviceIdentity is what a Client knows of one device: the vendor and
+// type of its earliest record, ties broken by vendor, then type. The
+// canonical dataset picks a device's fields by the same rule (see
+// dataset.Canonical), so a live Client and the drained report agree
+// whatever order the records arrived in.
+type deviceIdentity struct {
+	// firstNS is the earliest record's time in Unix nanoseconds; a
+	// device taken from a dataset's device list has math.MinInt64.
+	firstNS     int64
+	vendor, typ string
+}
+
+// less orders identities by (firstNS, vendor, typ).
+func (d deviceIdentity) less(o deviceIdentity) bool {
+	if d.firstNS != o.firstNS {
+		return d.firstNS < o.firstNS
+	}
+	if d.vendor != o.vendor {
+		return d.vendor < o.vendor
+	}
+	return d.typ < o.typ
+}
+
+// setDevice records a device's identity unless the Client already holds
+// one that is no greater. A write drops the index.
+func (c *Client) setDevice(id string, d deviceIdentity) {
+	if old, ok := c.devices.get(id); ok && !d.less(old) {
+		return
+	}
 	c.index = indexCell{}
-	if old, ok := c.deviceVendor.get(id); !ok || old != vendor {
-		c.deviceVendor.set(c.gen, id, vendor)
-	}
-	if old, ok := c.deviceType.get(id); !ok || old != typ {
-		c.deviceType.set(c.gen, id, typ)
-	}
+	c.devices.set(c.gen, id, d)
 }
 
 // mergeSorted returns the sorted union of two disjoint sorted key lists
@@ -279,6 +299,18 @@ type IngestState struct {
 // NewIngestState returns an empty ingest state.
 func NewIngestState() *IngestState {
 	return &IngestState{tab: intern.NewTable(), prints: map[string]*printEntry{}}
+}
+
+// Table returns the intern table the state's deltas resolve against.
+func (st *IngestState) Table() *intern.Table { return st.tab }
+
+// Size returns how many distinct strings (the empty string included)
+// and fingerprints the state holds. Both only grow.
+func (st *IngestState) Size() (strings, prints int) {
+	st.mu.RLock()
+	prints = len(st.prints)
+	st.mu.RUnlock()
+	return st.tab.Len(), prints
 }
 
 // entry returns the registered fingerprint with binary key key,
@@ -422,7 +454,7 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
-		c.setDevice(d.ID, d.Vendor, d.Type)
+		c.setDevice(d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
 	}
 
 	cx := NewIngestState().newCtx(ds.Records.Table())

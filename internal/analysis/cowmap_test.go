@@ -77,8 +77,7 @@ func TestReMergeCopiesNoDeviceOrSNIShard(t *testing.T) {
 		for s := range c.devicePrints.shards {
 			if c.devicePrints.shards[s] != snap.devicePrints.shards[s] ||
 				c.sniDevices.shards[s] != snap.sniDevices.shards[s] ||
-				c.deviceVendor.shards[s] != snap.deviceVendor.shards[s] ||
-				c.deviceType.shards[s] != snap.deviceType.shards[s] {
+				c.devices.shards[s] != snap.devices.shards[s] {
 				t.Fatalf("batch %d: re-merge copied device or SNI shard %d", i, s)
 			}
 		}

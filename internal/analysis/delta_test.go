@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -399,5 +400,53 @@ func BenchmarkMergeCloneResend(b *testing.B) {
 		c.MergeDelta(round[0])
 		round = round[1:]
 		benchSnap = c.Clone()
+	}
+}
+
+// identityPair returns two one-record batches for one device: a with
+// vendor "Insignia" and b with "Other Vendor" and another type, b at a's
+// time plus gap.
+func identityPair(gap time.Duration) (a, b dataset.Record) {
+	a = dataset.Generate(dataset.Config{Seed: 1, Scale: 0.02}).Records.At(0)
+	a.Raw = append([]byte(nil), a.Raw...)
+	a.Vendor = "Insignia"
+	b = a
+	b.Vendor, b.Type = "Other Vendor", "other-type"
+	b.Time = a.Time.Add(gap)
+	return a, b
+}
+
+// TestDeviceIdentityIgnoresMergeOrder: a device takes its vendor and
+// type from its earliest record, ties broken by vendor, so a Client
+// merging the two records' deltas in either order names the device as
+// NewClientWorkers over FromRecords does — with b an hour later, with
+// the times equal, and with b an hour earlier.
+func TestDeviceIdentityIgnoresMergeOrder(t *testing.T) {
+	for _, tc := range []struct {
+		gap    time.Duration
+		vendor string
+	}{{time.Hour, "Insignia"}, {0, "Insignia"}, {-time.Hour, "Other Vendor"}} {
+		a, b := identityPair(tc.gap)
+		ref, err := analysis.NewClientWorkers(dataset.FromRecords([]dataset.Record{a, b}), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ref.DeviceVendor(a.DeviceID); got != tc.vendor {
+			t.Fatalf("gap %v: the batch client names the device %q, want %q", tc.gap, got, tc.vendor)
+		}
+		for _, order := range [][]dataset.Record{{a, b}, {b, a}} {
+			c := analysis.NewClientEmpty()
+			for _, r := range order {
+				d, err := analysis.NewDelta([]dataset.Record{r})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.MergeDelta(d)
+			}
+			if c.DeviceVendor(a.DeviceID) != tc.vendor || c.DeviceType(a.DeviceID) != ref.DeviceType(a.DeviceID) {
+				t.Fatalf("gap %v, merged %s first: device is %s/%s, want %s/%s", tc.gap, order[0].Vendor,
+					c.DeviceVendor(a.DeviceID), c.DeviceType(a.DeviceID), tc.vendor, ref.DeviceType(a.DeviceID))
+			}
+		}
 	}
 }

@@ -85,7 +85,7 @@ func (c *Client) buildIndex() *tableIndex {
 	// devices counts the known devices per vendor; named numbers every
 	// vendor once the names are sorted.
 	devices := map[string]int32{}
-	c.deviceVendor.each(func(_, vendor string) { devices[vendor]++ })
+	c.devices.each(func(_ string, d deviceIdentity) { devices[d.vendor]++ })
 	named := map[string]int32{}
 	for v := range devices {
 		named[v] = 0
@@ -116,10 +116,10 @@ func (c *Client) buildIndex() *tableIndex {
 		ix.deviceVendor[i] = ok
 		ix.vendorRows[i+1] = ix.vendorRows[i] + n
 	}
-	ids := make([]string, c.deviceVendor.len())
+	ids := make([]string, c.devices.len())
 	next := slices.Clone(ix.vendorRows[:len(ix.vendors)])
-	c.deviceVendor.each(func(id, vendor string) {
-		v := named[vendor]
+	c.devices.each(func(id string, d deviceIdentity) {
+		v := named[d.vendor]
 		ids[next[v]] = id
 		next[v]++
 	})

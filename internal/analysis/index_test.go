@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -85,13 +86,16 @@ func TestTablesFollowStateChanges(t *testing.T) {
 		}
 		dev := rows[0].DeviceID
 		indexedTables(c)
-		c.setDevice(dev, "Relabelled vendor", rows[0].Type)
+		// "!" sorts first, so the relabelling is the device's least
+		// identity and wins over the dataset's.
+		relabelled := deviceIdentity{firstNS: math.MinInt64, vendor: "!Relabelled vendor", typ: rows[0].Type}
+		c.setDevice(dev, relabelled)
 		got := indexedTables(c)
 		fresh, err := NewClientWorkers(dataset.FromRecords(rows), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fresh.setDevice(dev, "Relabelled vendor", rows[0].Type)
+		fresh.setDevice(dev, relabelled)
 		if reflect.DeepEqual(got, want) {
 			t.Fatal("relabelling a device changed no table; the test shows nothing")
 		}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -48,8 +49,7 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 	c := NewClientEmpty()
 	c.DS = ds
 	for _, d := range ds.Devices {
-		c.deviceVendor.set(c.gen, d.ID, d.Vendor)
-		c.deviceType.set(c.gen, d.ID, d.Type)
+		c.devices.set(c.gen, d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
 	}
 	for i, r := range ds.Records.Rows() {
 		ch, err := r.Hello()
@@ -116,8 +116,7 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 type clientState struct {
 	prints        map[string]FingerprintInfo
 	devicePrints  map[string]StringSet
-	deviceVendor  map[string]string
-	deviceType    map[string]string
+	devices       map[string]deviceIdentity
 	versionCounts map[tlswire.Version]int
 	sniDevices    map[string]StringSet
 }
@@ -126,8 +125,7 @@ func stateOf(c *Client) clientState {
 	st := clientState{
 		prints:        map[string]FingerprintInfo{},
 		devicePrints:  plainMap(&c.devicePrints),
-		deviceVendor:  plainMap(&c.deviceVendor),
-		deviceType:    plainMap(&c.deviceType),
+		devices:       plainMap(&c.devices),
 		versionCounts: plainMap(&c.versionCounts),
 		sniDevices:    plainMap(&c.sniDevices),
 	}
@@ -212,7 +210,7 @@ func TestNewClientWorkersEquivalence(t *testing.T) {
 		if !reflect.DeepEqual(gs.versionCounts, ws.versionCounts) {
 			t.Fatalf("workers=%d: VersionCounts differ", workers)
 		}
-		if !reflect.DeepEqual(gs.deviceVendor, ws.deviceVendor) || !reflect.DeepEqual(gs.deviceType, ws.deviceType) {
+		if !reflect.DeepEqual(gs.devices, ws.devices) {
 			t.Fatalf("workers=%d: device vendors or types differ", workers)
 		}
 		if !reflect.DeepEqual(got.orderedKeys, want.orderedKeysForTest()) {

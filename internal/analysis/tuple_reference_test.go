@@ -285,7 +285,7 @@ func (c *Client) refDeviceDoCsForVendor(vendor string) []float64 {
 // vendorNames returns the vendors of the known devices, sorted.
 func (c *Client) vendorNames() []string {
 	set := map[string]bool{}
-	c.deviceVendor.each(func(_, v string) { set[v] = true })
+	c.devices.each(func(_ string, d deviceIdentity) { set[d.vendor] = true })
 	out := make([]string, 0, len(set))
 	for v := range set {
 		out = append(out, v)
@@ -631,7 +631,7 @@ func addSCSVOnlyVendor(c *Client) {
 		}},
 		devicePrints: []keyedSet{{dev, StringSet{key}}},
 	})
-	c.setDevice(dev, vendor, "camera")
+	c.setDevice(dev, deviceIdentity{vendor: vendor, typ: "camera"})
 }
 
 // sameBits reports the first vendor whose value differs from want in

@@ -39,8 +39,13 @@ type columns struct {
 	// several times its final size as garbage. Chunks double from
 	// minRawChunk up to rawChunkSize, so a small batch stays small. A
 	// record's rawOff holds its chunk index above rawChunkBits and its
-	// offset inside the chunk below them.
-	raw [][]byte
+	// offset inside the chunk below them. A chunk is allocated at its
+	// full length and rawFill counts the bytes written into the last
+	// one, so appending never rewrites a chunk's slice header: a view
+	// taken before an append (see Log.Records) reads the same headers
+	// and bytes after it.
+	raw     [][]byte
+	rawFill int
 }
 
 // Raw-byte chunk sizes: at most one record's length is wasted at the
@@ -60,20 +65,27 @@ func newColumns() *columns {
 // A record longer than a chunk gets a chunk of its own length.
 func (c *columns) rawAppend(n int) (uint32, []byte) {
 	k := len(c.raw) - 1
-	if k < 0 || cap(c.raw[k])-len(c.raw[k]) < n {
+	if k < 0 || len(c.raw[k])-c.rawFill < n {
 		size := minRawChunk
 		if k >= 0 {
-			size = min(2*cap(c.raw[k]), rawChunkSize)
+			size = min(2*len(c.raw[k]), rawChunkSize)
 		}
-		k = len(c.raw)
-		if k >= 1<<(32-rawChunkBits) {
-			panic("dataset: too many raw wire-byte chunks")
-		}
-		c.raw = append(c.raw, make([]byte, 0, max(n, size)))
+		k = c.addChunk(max(n, size))
 	}
-	start := len(c.raw[k])
-	c.raw[k] = c.raw[k][:start+n]
+	start := c.rawFill
+	c.rawFill += n
 	return uint32(k<<rawChunkBits | start), c.raw[k][start : start+n : start+n]
+}
+
+// addChunk starts a fresh raw chunk of size bytes and returns its index.
+func (c *columns) addChunk(size int) int {
+	k := len(c.raw)
+	if k >= 1<<(32-rawChunkBits) {
+		panic("dataset: too many raw wire-byte chunks")
+	}
+	c.raw = append(c.raw, make([]byte, size))
+	c.rawFill = 0
+	return k
 }
 
 // rawSpan resolves a record's (rawOff, rawLen) span to a
@@ -175,6 +187,16 @@ type Records struct {
 func RecordsFromRows(tab *intern.Table, rows []Record) Records {
 	c := &columns{tab: tab}
 	c.reserve(len(rows))
+	// The first chunk fits the rows' bytes up to a full chunk, so a
+	// daemon batch packs into one exact chunk instead of two doubling
+	// ones.
+	total := 0
+	for _, r := range rows {
+		total += len(r.Raw)
+	}
+	if total > 0 {
+		c.addChunk(min(total, rawChunkSize))
+	}
 	for _, r := range rows {
 		c.appendRow(r)
 	}

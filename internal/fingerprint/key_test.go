@@ -160,3 +160,24 @@ func TestMatchSemanticsMemoBounded(t *testing.T) {
 		t.Fatalf("list past the cap: %+v, uncached %+v", got, want)
 	}
 }
+
+// TestMatchSemanticsMemoHitZeroAllocs: a memo hit builds its key in a
+// stack buffer and looks it up without converting it, so it allocates
+// nothing. Every snapshot render pays one hit per distinct list for
+// Table 11 and another for Figure 8.
+func TestMatchSemanticsMemoHitZeroAllocs(t *testing.T) {
+	m := testCorpusMatcher()
+	for _, suites := range [][]uint16{
+		{0xC030, 0xC02C, 0x009D, 0x0035},
+		{0x1234, 0x5678}, // customization
+	} {
+		want := m.MatchSemantics(suites) // the miss memoizes the list
+		var got SemanticsMatch
+		if allocs := testing.AllocsPerRun(100, func() { got = m.MatchSemantics(suites) }); allocs != 0 {
+			t.Fatalf("memo hit for %04x allocated %v times per call, want 0", suites, allocs)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("memo hit for %04x = %+v, want %+v", suites, got, want)
+		}
+	}
+}

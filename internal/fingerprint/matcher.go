@@ -183,11 +183,13 @@ type SemanticsMatch struct {
 // tables replay the corpus. A resident service queries one Matcher for
 // its whole life, so the memo takes no list past semMemoCap: later lists
 // are computed on every query, and lists already memoized keep their
-// hits.
+// hits. The memo key is built in a stack buffer, so a hit allocates
+// nothing; only an insert makes a string of it.
 func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
-	memoKey := suiteListKey(deviceSuites)
+	var keyBuf [2 * jaccardBuf]byte
+	key := appendSuiteKey(keyBuf[:0], deviceSuites)
 	m.semMu.RLock()
-	cached, ok := m.semMemo[memoKey]
+	cached, ok := m.semMemo[string(key)]
 	m.semMu.RUnlock()
 	if ok {
 		return cached
@@ -195,7 +197,7 @@ func (m *Matcher) MatchSemantics(deviceSuites []uint16) SemanticsMatch {
 	res := m.matchSemanticsUncached(deviceSuites)
 	m.semMu.Lock()
 	if len(m.semMemo) < semMemoCap {
-		m.semMemo[memoKey] = res
+		m.semMemo[string(key)] = res
 	}
 	m.semMu.Unlock()
 	return res

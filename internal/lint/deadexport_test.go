@@ -49,7 +49,6 @@ var deadExportKeep = map[string]string{
 	"internal/acme.Client.Tick":                         "one step of the renewal loop the ACME client tests drive",
 	"internal/analysis.Client.DevicePrints":             "per-device fingerprint set the delta-vs-batch equivalence tests compare",
 	"internal/ciphersuite.LookupName":                   "name-to-codepoint lookup the registry and Appendix A tables are checked with",
-	"internal/dataset.Records.TimeNS":                   "columnar timestamp the row round-trip tests compare",
 	"internal/fingerprint.Fingerprint.Hash":             "stable digest whose format the fingerprint tests pin",
 	"internal/fingerprint.Matcher.DistinctFingerprints": "distinct corpus prints the library-corpus tests assert",
 	"internal/graph.Bipartite.AddLeft":                  "builds isolated left nodes in graph tests",
@@ -58,7 +57,6 @@ var deadExportKeep = map[string]string{
 	"internal/graph.Bipartite.NumLefts":                 "graph size the graph tests assert and the Figure 3/4 benchmarks print",
 	"internal/graph.Bipartite.NumRights":                "graph size the graph tests assert and the Figure 3/4 benchmarks print",
 	"internal/graph.Bipartite.RightDegree":              "degree the graph tests assert",
-	"internal/intern.Table.Len":                         "table size the intern tests assert",
 	"internal/labdata.Dataset.SNIs":                     "distinct lab SNIs the capture tests assert",
 	"internal/lint.Loader.TypeChecks":                   "type-check counter TestSharedLoaderMemoizes proves the cache with",
 	"internal/obs.Gauge.Add":                            "relative gauge update the metrics tests exercise",

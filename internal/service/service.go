@@ -263,13 +263,14 @@ type Service struct {
 
 	// live and batches belong to the merger goroutine alone; snapshots
 	// are clones of live published through snap. stateMu guards the
-	// accepted record log, which the merger appends to in merge order.
+	// accepted record log, which the merger appends each parsed batch's
+	// columns to in merge order, over the ingest state's intern table.
 	live         *analysis.Client
 	batches      int64
 	snap         atomic.Pointer[Snapshot]
 	publications atomic.Int64
 	stateMu      sync.Mutex
-	accepted     []dataset.Record
+	accepted     *dataset.Log
 
 	// lastActivity is the watchdog heartbeat: unix nanos of the last
 	// merge or quarantine (or service start).
@@ -298,6 +299,11 @@ type Service struct {
 	// a registry: decode (HTTP body to records), parse (NewDelta), merge
 	// (one merge group) and publish (clone and store).
 	phases struct{ decode, parse, merge, publish *obs.Histogram }
+	// kept are the gauges of what the daemon keeps for its whole life,
+	// set at each publication, nil without a registry: the accepted
+	// log's records and bytes, and the ingest state's strings and
+	// prints.
+	kept struct{ records, logBytes, strings, prints *obs.Gauge }
 
 	gate   *gate
 	wg     sync.WaitGroup
@@ -320,11 +326,15 @@ func New(opts Options) *Service {
 		ingest:   analysis.NewIngestState(),
 		gate:     newGate(),
 	}
+	s.accepted = dataset.NewLog(s.ingest.Table())
 	phase := func(name string) *obs.Histogram {
 		return opts.Metrics.Histogram("service_phase_seconds", obs.DurationBuckets, obs.L("phase", name))
 	}
 	s.phases.decode, s.phases.parse = phase("decode"), phase("parse")
 	s.phases.merge, s.phases.publish = phase("merge"), phase("publish")
+	m := opts.Metrics
+	s.kept.records, s.kept.logBytes = m.Gauge("service_accepted_records"), m.Gauge("service_accepted_log_bytes")
+	s.kept.strings, s.kept.prints = m.Gauge("service_ingest_strings"), m.Gauge("service_ingest_prints")
 	s.matcher = libcorpus.NewMatcher()
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	now := opts.Clock.Now()
@@ -425,6 +435,7 @@ func (s *Service) worker() {
 		// affecting what admission sees.
 		s.gate.wait()
 		if delta := s.parse(item); delta != nil {
+			item.records = nil // the delta holds the batch in columns
 			s.handoff <- parsedBatch{item: item, delta: delta}
 			continue
 		}
@@ -486,7 +497,7 @@ func (s *Service) merger() {
 			}
 		}
 		s.publish(group)
-		clear(group) // drop the merged deltas and records
+		clear(group) // drop the merged deltas
 	}
 }
 
@@ -502,9 +513,10 @@ func (s *Service) publish(group []parsedBatch) {
 	}
 	s.stateMu.Lock()
 	for _, p := range group {
-		s.accepted = append(s.accepted, p.item.records...)
+		s.accepted.Append(p.delta.Records())
 	}
-	records := int64(len(s.accepted))
+	records := int64(s.accepted.Len())
+	logBytes := s.accepted.Bytes()
 	s.stateMu.Unlock()
 	s.batches += int64(len(group))
 	t.stop()
@@ -529,10 +541,15 @@ func (s *Service) publish(group []parsedBatch) {
 	m := s.opts.Metrics // a nil registry hands out no-op series
 	m.Gauge("service_epoch").Set(snap.Epoch)
 	m.Counter("service_publications_total").Inc()
+	strs, prints := s.ingest.Size()
+	s.kept.records.Set(records)
+	s.kept.logBytes.Set(logBytes)
+	s.kept.strings.Set(int64(strs))
+	s.kept.prints.Set(int64(prints))
 	ingest := m.Histogram("service_ingest_seconds", obs.DurationBuckets)
 	acceptedRecords := m.Counter("service_accepted_records_total")
 	for _, p := range group {
-		n := int64(len(p.item.records))
+		n := int64(p.delta.Records().Len())
 		s.acceptedB.Add(1)
 		s.acceptedR.Add(n)
 		lat := now.Sub(p.item.at).Seconds()
@@ -738,28 +755,38 @@ func (s *Service) QuarantineLog() []Quarantined {
 	return append([]Quarantined(nil), s.quars...)
 }
 
-// AcceptedRecords copies the accepted record log — the exact input a
-// batch core.Run needs to reproduce the drained daemon's final report.
+// AcceptedRecords returns the accepted record log as rows, in merge
+// order — the exact input a batch core.Run needs to reproduce the
+// drained daemon's final report. The rows' strings are the intern
+// table's and their Raw views are read-only.
 func (s *Service) AcceptedRecords() []dataset.Record {
 	s.stateMu.Lock()
 	defer s.stateMu.Unlock()
-	return append([]dataset.Record(nil), s.accepted...)
+	return s.accepted.Records().Rows()
 }
 
-// ErrNotDrained: FinalReport requires a drained daemon; mid-flight the
-// accepted log is still moving.
+// ErrNotDrained: FinalReport requires a finished drain; until the
+// merger has published its last group the accepted log is still moving.
 var ErrNotDrained = errors.New("service: final report requires a drained service")
 
 // FinalReport runs the full batch pipeline (including the probe world)
 // over the accepted records and writes the study report. cfg supplies
 // Seed/Scale/MinSNIUsers/Workers; the dataset is always the canonical
-// reconstruction of the accepted log, so the bytes match a batch
-// core.Run handed the same records.
+// form of the accepted log (dataset.Canonical), built from its columns
+// without rows or copies of its bytes, so the report matches a batch
+// core.Run handed the same records. It needs a finished drain — after
+// BeginDrain, once AwaitDrain has returned — and returns ErrNotDrained
+// before then.
 func (s *Service) FinalReport(ctx context.Context, w io.Writer, cfg core.Config) error {
-	if !s.Draining() {
+	select {
+	case <-s.flushed:
+	default:
 		return ErrNotDrained
 	}
-	cfg.Dataset = dataset.FromRecords(s.AcceptedRecords())
+	s.stateMu.Lock()
+	accepted := s.accepted.Records()
+	s.stateMu.Unlock()
+	cfg.Dataset = dataset.Canonical(accepted)
 	st, err := core.Run(ctx, cfg)
 	if err != nil {
 		return err

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/obs"
 	"repro/internal/probe"
 )
 
@@ -341,14 +343,155 @@ func TestWatchdogAndReadiness(t *testing.T) {
 }
 
 // TestFinalReportRequiresDrain: the batch-equivalent report is only
-// defined at a quiescent point.
+// defined once a drain has finished. BeginDrain stops admission before
+// the merger has published its last group, so with one accepted batch
+// still held in a slow worker, FinalReport must refuse rather than
+// report over a log that lacks the batch (and that the merger is about
+// to append to); after AwaitDrain the log holds the batch and the
+// report runs.
 func TestFinalReportRequiresDrain(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Scale = 0.05
 	s := New(Options{Seed: 9, Workers: 1})
 	var buf bytes.Buffer
-	if err := s.FinalReport(context.Background(), &buf, core.DefaultConfig()); err == nil {
-		t.Fatal("FinalReport before drain succeeded")
+	if err := s.FinalReport(context.Background(), &buf, cfg); !errors.Is(err, ErrNotDrained) {
+		t.Fatalf("FinalReport before drain: err %v, want ErrNotDrained", err)
 	}
 	drain(t, s)
+
+	recs := testRecords(t)[:25]
+	s = New(Options{Seed: 9, Workers: 1, ChaosSlow: 300 * time.Millisecond})
+	if o := s.Submit("src", recs); !o.Accepted() {
+		t.Fatalf("submit: outcome %v", o)
+	}
+	s.BeginDrain()
+	buf.Reset()
+	if err := s.FinalReport(context.Background(), &buf, cfg); !errors.Is(err, ErrNotDrained) {
+		t.Fatalf("FinalReport before the drain flushed: err %v, want ErrNotDrained (a %d-byte report over %d records)",
+			err, buf.Len(), len(s.AcceptedRecords()))
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.AwaitDrain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(s.AcceptedRecords()); n != len(recs) {
+		t.Fatalf("drained log holds %d records, want %d", n, len(recs))
+	}
+	if err := s.FinalReport(context.Background(), &buf, cfg); err != nil {
+		t.Fatalf("FinalReport after the drain: %v", err)
+	}
+}
+
+// TestDeviceIdentityIgnoresBatchOrder posts two one-record batches for
+// one device, vendor "Insignia" at t and "Other Vendor" at t+gap, in
+// both orders, with the times differing and with them equal. A device
+// takes its identity from its earliest record, ties broken by vendor,
+// so the drained snapshot names it "Insignia" in both orders, as the
+// canonical dataset behind FinalReport does, and both orders give the
+// same snapshot and final reports.
+func TestDeviceIdentityIgnoresBatchOrder(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.Scale = 0.05
+	a := testRecords(t)[0]
+	a.Vendor = "Insignia"
+	for _, gap := range []time.Duration{time.Hour, 0} {
+		b := a
+		b.Vendor, b.Type = "Other Vendor", "other-type"
+		b.Time = a.Time.Add(gap)
+		var snapReports, finalReports [2][]byte
+		for k, order := range [][]dataset.Record{{a, b}, {b, a}} {
+			s := New(Options{Seed: 31, Workers: 1})
+			for _, r := range order {
+				if o := s.Submit("src", []dataset.Record{r}); !o.Accepted() {
+					t.Fatalf("submit: outcome %v", o)
+				}
+			}
+			drain(t, s)
+			snap := s.Snapshot()
+			canon := dataset.Canonical(s.accepted.Records())
+			if len(canon.Devices) != 1 || canon.Devices[0].Vendor != "Insignia" {
+				t.Fatalf("gap %v, %s first: the canonical dataset's devices are %+v", gap, order[0].Vendor, canon.Devices)
+			}
+			if got := snap.Client.DeviceVendor(a.DeviceID); got != "Insignia" || snap.Client.DeviceType(a.DeviceID) != canon.Devices[0].Type {
+				t.Fatalf("gap %v, %s first: the snapshot names the device %s/%s, FinalReport's dataset %s/%s", gap, order[0].Vendor,
+					got, snap.Client.DeviceType(a.DeviceID), canon.Devices[0].Vendor, canon.Devices[0].Type)
+			}
+			var sr, fr bytes.Buffer
+			snap.WriteReport(&sr, s.matcher, 1)
+			if err := s.FinalReport(context.Background(), &fr, cfg); err != nil {
+				t.Fatal(err)
+			}
+			snapReports[k], finalReports[k] = sr.Bytes(), fr.Bytes()
+		}
+		if !bytes.Equal(snapReports[0], snapReports[1]) || !bytes.Equal(finalReports[0], finalReports[1]) {
+			t.Fatalf("gap %v: the reports depend on batch order", gap)
+		}
+	}
+}
+
+// TestKeptStateGauges: at each publication the daemon exports what it
+// keeps for its whole life. After a run with quarantined batches the
+// record gauge equals the accepted count, and the log gauge lies between
+// the accepted wire bytes and twice their sum plus 40 bytes a record.
+// Quarantined batches whose valid records carry strings and prints the
+// daemon has not seen move neither ingest gauge: a later publication of
+// a re-sent batch reads the same strings and prints as before them.
+func TestKeptStateGauges(t *testing.T) {
+	recs := testRecords(t)
+	reg := obs.NewRegistry("")
+	s := New(Options{Seed: 29, Workers: 2, QueueDepth: 256, SourceBudget: 256, ShedWatermark: 1, Metrics: reg})
+	gauge := func(name string) int64 { return reg.Gauge(name).Value() }
+	bs := batches(recs, 20)
+	half := len(bs) / 2
+	submitAll := func(source string, bs [][]dataset.Record) {
+		t.Helper()
+		for i, b := range bs {
+			if o := s.Submit(source, b); !o.Accepted() {
+				t.Fatalf("%s batch %d: outcome %v", source, i, o)
+			}
+		}
+	}
+	submitAll("src", bs[:half])
+	waitFor(t, "first half", func() bool { return s.Stats().AcceptedBatches == int64(half) })
+	strs, prints := gauge("service_ingest_strings"), gauge("service_ingest_prints")
+	if strs <= 1 || prints <= 0 {
+		t.Fatalf("ingest gauges read %d strings and %d prints after %d batches", strs, prints, half)
+	}
+	const rejected = 3
+	for i := 0; i < rejected; i++ {
+		bad := append([]dataset.Record(nil), bs[half+i]...)
+		r := poisoned(bad[0])
+		r.DeviceID, r.SNI = fmt.Sprintf("rejected-device-%d", i), fmt.Sprintf("rejected-%d.example", i)
+		submitAll(fmt.Sprintf("bad-%d", i), [][]dataset.Record{append(bad, r)})
+	}
+	waitFor(t, "quarantines", func() bool { return s.Stats().QuarantinedBatches == rejected })
+	submitAll("src", bs[:1])
+	waitFor(t, "re-sent batch", func() bool { return s.Stats().AcceptedBatches == int64(half+1) })
+	if gs, gp := gauge("service_ingest_strings"), gauge("service_ingest_prints"); gs != strs || gp != prints {
+		t.Fatalf("quarantined batches moved the ingest gauges: strings %d -> %d, prints %d -> %d", strs, gs, prints, gp)
+	}
+	submitAll("src", bs[half:])
+	drain(t, s)
+
+	st := s.Stats()
+	if st.QuarantinedBatches != rejected || !st.Conserved() {
+		t.Fatalf("want %d quarantined batches and conservation: %+v", rejected, st)
+	}
+	if got := gauge("service_accepted_records"); got != st.AcceptedRecords {
+		t.Fatalf("service_accepted_records = %d, Stats.AcceptedRecords = %d", got, st.AcceptedRecords)
+	}
+	wire := int64(0)
+	for _, r := range s.AcceptedRecords() {
+		wire += int64(len(r.Raw))
+	}
+	lo, hi := wire, 2*(wire+40*st.AcceptedRecords)
+	if got := gauge("service_accepted_log_bytes"); got < lo || got > hi {
+		t.Fatalf("service_accepted_log_bytes = %d, want within [%d, %d] for %d records", got, lo, hi, st.AcceptedRecords)
+	}
+	if gs, gp := gauge("service_ingest_strings"), gauge("service_ingest_prints"); gs <= strs || gp < prints {
+		t.Fatalf("ingest gauges after the second half: strings %d -> %d, prints %d -> %d", strs, gs, prints, gp)
+	}
 }
 
 // TestIngestLatencyWindowIsBounded: after 10,000 accepted batches the
