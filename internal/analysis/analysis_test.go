@@ -409,6 +409,11 @@ func TestCensus(t *testing.T) {
 	}
 }
 
+// TestGraphExports checks the Figure 1 DOT export, and the Figure 3 and
+// Figure 4 graphs edge for edge against the (device type or device,
+// print key) pairs read from the dataset's records, each record parsed
+// with fingerprint.FromClientHello. A generated record carries its
+// device's vendor and type, so the records alone fix both graphs.
 func TestGraphExports(t *testing.T) {
 	c := client(t)
 	g := c.VendorGraph()
@@ -432,9 +437,49 @@ func TestGraphExports(t *testing.T) {
 	if amazonTypes.NumLefts() < 3 {
 		t.Errorf("amazon device types %d", amazonTypes.NumLefts())
 	}
-	echo := c.DeviceGraphForVendorType("Amazon", dataset.TypeSpeaker)
-	if echo.NumLefts() == 0 || echo.NumRights() == 0 {
-		t.Error("echo graph empty")
+
+	typeEdges, echoEdges := map[[2]string]bool{}, map[[2]string]bool{}
+	for i, r := range paperDS.Records.Rows() {
+		if r.Vendor != "Amazon" {
+			continue
+		}
+		ch, err := r.Hello()
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		key := fingerprint.FromClientHello(ch).Key()
+		typeEdges[[2]string{r.Type, key}] = true
+		if r.Type == dataset.TypeSpeaker {
+			echoEdges[[2]string{r.DeviceID, key}] = true
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		g    *graph.Bipartite
+		want map[[2]string]bool
+	}{
+		{"figure 3 (Amazon device types)", amazonTypes, typeEdges},
+		{"figure 4 (Amazon speakers)", c.DeviceGraphForVendorType("Amazon", dataset.TypeSpeaker), echoEdges},
+	} {
+		got := map[[2]string]bool{}
+		for _, left := range tc.g.Lefts() {
+			for _, right := range tc.g.LeftNeighbors(left) {
+				got[[2]string{left, right}] = true
+			}
+		}
+		if len(tc.want) == 0 {
+			t.Fatalf("%s: the records give no edge", tc.name)
+		}
+		for e := range tc.want {
+			if !got[e] {
+				t.Errorf("%s: missing edge %s -- %s", tc.name, e[0], e[1])
+			}
+		}
+		for e := range got {
+			if !tc.want[e] {
+				t.Errorf("%s: edge %s -- %s is in no record", tc.name, e[0], e[1])
+			}
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/intern"
 	"repro/internal/obs"
 	"repro/internal/simnet"
-	"repro/internal/tlswire"
 )
 
 // FingerprintInfo aggregates everything observed about one fingerprint.
@@ -34,8 +33,6 @@ type FingerprintInfo struct {
 	Devices StringSet
 	// Vendors of those devices.
 	Vendors StringSet
-	// Types of those devices.
-	Types StringSet
 	// SNIs visited with this fingerprint.
 	SNIs StringSet
 	// Records is the number of ClientHellos carrying it.
@@ -57,37 +54,25 @@ type Client struct {
 
 // sharedState is everything a Clone shares with its original.
 type sharedState struct {
-	DS *dataset.Dataset
 	// gen is the generation this Client writes under: it writes a shard
 	// or a FingerprintInfo in place only if that carries gen too.
 	gen uint64
 	// prints indexes fingerprints by key.
-	prints cowMap[string, *FingerprintInfo]
-	// devicePrints maps device -> set of fingerprint keys.
-	devicePrints cowMap[string, StringSet]
+	prints cowMap[*FingerprintInfo]
 	// devices maps each known device to its identity.
-	devices cowMap[string, deviceIdentity]
-	// versionCounts tallies proposals per TLS version (Table 12).
-	versionCounts cowMap[tlswire.Version, int]
+	devices cowMap[deviceIdentity]
 	// sniDevices maps each SNI to the devices that visited it.
-	sniDevices cowMap[string, StringSet]
+	sniDevices cowMap[StringSet]
 	// orderedKeys caches sorted fingerprint keys. It is replaced, never
 	// modified, so a clone may share it.
 	orderedKeys []string
 }
 
 // NewClientEmpty builds a Client with no observations, the zero state a
-// resident service grows by merging deltas. DS stays nil — every
-// client-side table derives from the merged observations alone.
+// resident service grows by merging deltas. Every client-side table
+// derives from the merged observations alone.
 func NewClientEmpty() *Client {
-	return &Client{sharedState: sharedState{
-		gen:           nextGen(),
-		prints:        cowMap[string, *FingerprintInfo]{hash: hashString},
-		devicePrints:  cowMap[string, StringSet]{hash: hashString},
-		devices:       cowMap[string, deviceIdentity]{hash: hashString},
-		versionCounts: cowMap[tlswire.Version, int]{hash: hashVersion},
-		sniDevices:    cowMap[string, StringSet]{hash: hashString},
-	}}
+	return &Client{sharedState: sharedState{gen: nextGen()}}
 }
 
 // Fingerprint returns the aggregate of the fingerprint with the given
@@ -100,12 +85,6 @@ func (c *Client) Fingerprint(key string) *FingerprintInfo {
 // FingerprintKeys returns every fingerprint key in sorted order. The
 // slice is shared with the Client and must not be modified.
 func (c *Client) FingerprintKeys() []string { return c.orderedKeys }
-
-// DevicePrints returns the keys of the fingerprints a device exhibited.
-func (c *Client) DevicePrints(dev string) StringSet {
-	keys, _ := c.devicePrints.get(dev)
-	return keys
-}
 
 // DeviceVendor returns a device's vendor ("" for an unknown device).
 func (c *Client) DeviceVendor(dev string) string {
@@ -131,7 +110,7 @@ func (c *Client) Devices() []string { return sortedKeys(&c.devices) }
 // SNIs returns every SNI some device visited, in sorted order.
 func (c *Client) SNIs() []string { return sortedKeys(&c.sniDevices) }
 
-func sortedKeys[V any](m *cowMap[string, V]) []string {
+func sortedKeys[V any](m *cowMap[V]) []string {
 	out := make([]string, 0, m.len())
 	m.each(func(k string, _ V) { out = append(out, k) })
 	sort.Strings(out)
@@ -142,13 +121,11 @@ func sortedKeys[V any](m *cowMap[string, V]) []string {
 // NewClientWorkers (the whole dataset) and MergeDelta (one batch) fold
 // into a Client through the same merge.
 type aggregate struct {
-	prints       []*FingerprintInfo
-	devicePrints []keyedSet
-	sniDevices   []keyedSet
-	versions     map[tlswire.Version]int
+	prints     []*FingerprintInfo
+	sniDevices []keyedSet
 }
 
-// keyedSet is one device's fingerprint keys or one SNI's devices.
+// keyedSet is one SNI's devices.
 type keyedSet struct {
 	key string
 	set StringSet
@@ -181,33 +158,21 @@ func (c *Client) merge(a *aggregate) {
 		}
 		info.Devices = unionSets(info.Devices, part.Devices)
 		info.Vendors = unionSets(info.Vendors, part.Vendors)
-		info.Types = unionSets(info.Types, part.Types)
 		info.SNIs = unionSets(info.SNIs, part.SNIs)
 		info.Records += part.Records
 	}
-	for _, e := range a.devicePrints {
-		c.unionInto(&c.devicePrints, e)
-	}
 	for _, e := range a.sniDevices {
-		c.unionInto(&c.sniDevices, e)
-	}
-	for v, n := range a.versions {
-		old, _ := c.versionCounts.get(v)
-		c.versionCounts.set(c.gen, v, old+n)
+		// Write only when the union adds a member. unionSets returns the
+		// stored set itself when it adds nothing, so an unchanged length
+		// means an unchanged set.
+		old, _ := c.sniDevices.get(e.key)
+		if u := unionSets(old, e.set); len(u) != len(old) {
+			c.sniDevices.set(c.gen, e.key, u)
+		}
 	}
 	if len(added) > 0 {
 		sort.Strings(added)
 		c.orderedKeys = mergeSorted(c.orderedKeys, added)
-	}
-}
-
-// unionInto unions e.set into m's set for e.key, writing only when the
-// union adds a member. unionSets returns the stored set itself when it
-// adds nothing, so an unchanged length means an unchanged set.
-func (c *Client) unionInto(m *cowMap[string, StringSet], e keyedSet) {
-	old, _ := m.get(e.key)
-	if u := unionSets(old, e.set); len(u) != len(old) {
-		m.set(c.gen, e.key, u)
 	}
 }
 
@@ -260,14 +225,6 @@ func mergeSorted(a, b []string) []string {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
-}
-
-// parsedRef is one memoized key resolution: the ingest-dense print
-// index plus the version the hot loop tallies, so shards never touch the
-// shared print slice inside the record loop.
-type parsedRef struct {
-	idx     uint32
-	version tlswire.Version
 }
 
 // printEntry is the materialized identity of one distinct fingerprint:
@@ -356,9 +313,9 @@ func (st *IngestState) newCtx(tab *intern.Table) *ingestCtx {
 	return &ingestCtx{st: st, tab: tab, byPrint: map[*printEntry]uint32{}}
 }
 
-// resolve returns the ingest's index and the version of the fingerprint
-// with binary key key.
-func (cx *ingestCtx) resolve(key []byte) parsedRef {
+// resolve returns the ingest's index of the fingerprint with binary key
+// key.
+func (cx *ingestCtx) resolve(key []byte) uint32 {
 	cx.mu.Lock()
 	defer cx.mu.Unlock()
 	e := cx.st.entry(key)
@@ -369,7 +326,7 @@ func (cx *ingestCtx) resolve(key []byte) parsedRef {
 		cx.byPrint[e] = idx
 		cx.parses++
 	}
-	return parsedRef{idx: idx, version: e.print.Version}
+	return idx
 }
 
 // edge is one (print, identity-symbol) observation.
@@ -392,19 +349,17 @@ type sniEdge struct {
 // exactly once.
 type clientShard struct {
 	ctx *ingestCtx
-	// memo maps binary key to resolution; key is the buffer each
-	// record's key is read into.
-	memo          map[string]parsedRef
-	key           []byte
-	printRecords  map[uint32]int
-	printDevices  map[edge]struct{}
-	printVendors  map[edge]struct{}
-	printTypes    map[edge]struct{}
-	printSNIs     map[edge]struct{}
-	sniDevices    map[sniEdge]struct{}
-	versionCounts map[tlswire.Version]int
-	errIdx        int
-	err           error
+	// memo maps binary key to the print's ingest index; key is the
+	// buffer each record's key is read into.
+	memo         map[string]uint32
+	key          []byte
+	printRecords map[uint32]int
+	printDevices map[edge]struct{}
+	printVendors map[edge]struct{}
+	printSNIs    map[edge]struct{}
+	sniDevices   map[sniEdge]struct{}
+	errIdx       int
+	err          error
 	// memoHits / memoMisses tally the L1 parse-memo effectiveness;
 	// records is the shard's input size. Plain ints: each shard owns
 	// its own counters and the merge publishes totals once, so the hot
@@ -416,15 +371,13 @@ type clientShard struct {
 
 func (s *clientShard) init(cx *ingestCtx) {
 	s.ctx = cx
-	s.memo = map[string]parsedRef{}
+	s.memo = map[string]uint32{}
 	s.key = make([]byte, 0, 512)
 	s.printRecords = map[uint32]int{}
 	s.printDevices = map[edge]struct{}{}
 	s.printVendors = map[edge]struct{}{}
-	s.printTypes = map[edge]struct{}{}
 	s.printSNIs = map[edge]struct{}{}
 	s.sniDevices = map[sniEdge]struct{}{}
-	s.versionCounts = map[tlswire.Version]int{}
 }
 
 // NewClientWorkers parses the dataset's raw ClientHello records and
@@ -452,7 +405,6 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 		workers = 1
 	}
 	c := NewClientEmpty()
-	c.DS = ds
 	for _, d := range ds.Devices {
 		c.setDevice(d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
 	}
@@ -534,25 +486,23 @@ func (s *clientShard) ingest(recs dataset.Records, base int) {
 			continue
 		}
 		s.key = key
-		ref, ok := s.memo[string(key)]
+		p, ok := s.memo[string(key)]
 		if ok {
 			s.memoHits++
 		} else {
 			s.memoMisses++
-			ref = s.ctx.resolve(key)
-			s.memo[string(key)] = ref
+			p = s.ctx.resolve(key)
+			s.memo[string(key)] = p
 		}
 		sniSym := recs.SNISym(i)
 		devSym := recs.DeviceSym(i)
-		s.printRecords[ref.idx]++
-		s.printDevices[edge{ref.idx, devSym}] = struct{}{}
-		s.printVendors[edge{ref.idx, recs.VendorSym(i)}] = struct{}{}
-		s.printTypes[edge{ref.idx, recs.TypeSym(i)}] = struct{}{}
+		s.printRecords[p]++
+		s.printDevices[edge{p, devSym}] = struct{}{}
+		s.printVendors[edge{p, recs.VendorSym(i)}] = struct{}{}
 		if sniSym != 0 {
-			s.printSNIs[edge{ref.idx, sniSym}] = struct{}{}
+			s.printSNIs[edge{p, sniSym}] = struct{}{}
 			s.sniDevices[sniEdge{sniSym, devSym}] = struct{}{}
 		}
-		s.versionCounts[ref.version]++
 	}
 }
 
@@ -570,17 +520,11 @@ func (s *clientShard) mergeFrom(o *clientShard) {
 	for e := range o.printVendors {
 		s.printVendors[e] = struct{}{}
 	}
-	for e := range o.printTypes {
-		s.printTypes[e] = struct{}{}
-	}
 	for e := range o.printSNIs {
 		s.printSNIs[e] = struct{}{}
 	}
 	for e := range o.sniDevices {
 		s.sniDevices[e] = struct{}{}
-	}
-	for v, n := range o.versionCounts {
-		s.versionCounts[v] += n
 	}
 }
 
@@ -590,10 +534,7 @@ func (s *clientShard) mergeFrom(o *clientShard) {
 // interned instances).
 func (s *clientShard) finalize() aggregate {
 	cx := s.ctx
-	a := aggregate{
-		prints:   make([]*FingerprintInfo, 0, len(s.printRecords)),
-		versions: s.versionCounts,
-	}
+	a := aggregate{prints: make([]*FingerprintInfo, 0, len(s.printRecords))}
 	infos := make([]FingerprintInfo, len(cx.prints))
 	infoByIdx := make([]*FingerprintInfo, len(cx.prints))
 	for idx, n := range s.printRecords {
@@ -631,57 +572,42 @@ func (s *clientShard) finalize() aggregate {
 	}
 	fillSets(s.printDevices, func(i *FingerprintInfo) *StringSet { return &i.Devices })
 	fillSets(s.printVendors, func(i *FingerprintInfo) *StringSet { return &i.Vendors })
-	fillSets(s.printTypes, func(i *FingerprintInfo) *StringSet { return &i.Types })
 	fillSets(s.printSNIs, func(i *FingerprintInfo) *StringSet { return &i.SNIs })
 	for _, info := range a.prints {
 		sort.Strings(info.Devices)
 		sort.Strings(info.Vendors)
-		sort.Strings(info.Types)
 		sort.Strings(info.SNIs)
 	}
-
-	a.devicePrints = cx.groupSets(len(s.printDevices), func(add func(owner intern.Symbol, member string)) {
-		for e := range s.printDevices {
-			add(e.sym, infoByIdx[e.p].Key)
-		}
-	})
-	a.sniDevices = cx.groupSets(len(s.sniDevices), func(add func(owner intern.Symbol, member string)) {
-		for e := range s.sniDevices {
-			add(e.sni, cx.tab.Str(e.dev))
-		}
-	})
+	a.sniDevices = s.groupSNIs()
 	return a
 }
 
-// groupSets groups n (owner, member) pairs, which pairs yields twice in
-// any order, into one sorted set per owner. The sets are carved out of
-// one backing array, like fillSets', and owners stay symbols until each
-// set's key is resolved once.
-func (cx *ingestCtx) groupSets(n int, pairs func(add func(owner intern.Symbol, member string))) []keyedSet {
+// groupSNIs groups the SNI edges into one sorted device set per SNI,
+// in no particular order. The sets are carved out of one backing
+// array, like fillSets', and SNIs stay symbols until each set's key is
+// resolved once.
+func (s *clientShard) groupSNIs() []keyedSet {
+	tab := s.ctx.tab
+	// slot counts each SNI's devices, then holds the SNI's index in out.
 	slot := map[intern.Symbol]int{}
-	var counts []int
-	pairs(func(owner intern.Symbol, _ string) {
-		i, ok := slot[owner]
-		if !ok {
-			i = len(counts)
-			slot[owner] = i
-			counts = append(counts, 0)
-		}
-		counts[i]++
-	})
-	out := make([]keyedSet, len(counts))
-	backing := make([]string, n)
-	off := 0
-	for owner, i := range slot {
-		out[i] = keyedSet{key: cx.tab.Str(owner), set: backing[off : off : off+counts[i]]}
-		off += counts[i]
+	for e := range s.sniDevices {
+		slot[e.sni]++
 	}
-	pairs(func(owner intern.Symbol, member string) {
-		e := &out[slot[owner]]
-		e.set = append(e.set, member)
-	})
-	for _, e := range out {
-		sort.Strings(e.set)
+	out := make([]keyedSet, len(slot))
+	backing := make([]string, len(s.sniDevices))
+	i, off := 0, 0
+	for sni, n := range slot {
+		out[i] = keyedSet{key: tab.Str(sni), set: backing[off : off : off+n]}
+		slot[sni] = i
+		i++
+		off += n
+	}
+	for e := range s.sniDevices {
+		k := &out[slot[e.sni]]
+		k.set = append(k.set, tab.Str(e.dev))
+	}
+	for _, k := range out {
+		sort.Strings(k.set)
 	}
 	return out
 }
@@ -721,17 +647,18 @@ func (c *Client) TypeGraphForVendor(vendor string) *graph.Bipartite {
 }
 
 // DeviceGraphForVendorType restricts Figure 4 to one device type
-// (Amazon Echo in the paper = Amazon speakers here).
+// (Amazon Echo in the paper = Amazon speakers here): the devices of
+// that vendor and type on the left, the fingerprints each exhibited on
+// the right.
 func (c *Client) DeviceGraphForVendorType(vendor, typ string) *graph.Bipartite {
 	g := graph.New()
-	c.devicePrints.each(func(dev string, prints StringSet) {
-		if c.DeviceVendor(dev) != vendor || c.DeviceType(dev) != typ {
-			return
+	for _, key := range c.orderedKeys {
+		for _, dev := range c.Fingerprint(key).Devices {
+			if d, _ := c.devices.get(dev); d.vendor == vendor && d.typ == typ {
+				g.AddEdge(dev, key)
+			}
 		}
-		for _, key := range prints {
-			g.AddEdge(dev, key)
-		}
-	})
+	}
 	return g
 }
 

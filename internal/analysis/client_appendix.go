@@ -171,10 +171,13 @@ func (c *Client) Figure8(matcher *fingerprint.Matcher, buckets int) []Figure8Buc
 	return out
 }
 
-// Table12 returns proposal counts per TLS version.
+// Table12 returns proposal counts per TLS version: every print's records,
+// summed by its version.
 func (c *Client) Table12() map[tlswire.Version]int {
-	out := make(map[tlswire.Version]int, c.versionCounts.len())
-	c.versionCounts.each(func(v tlswire.Version, n int) { out[v] = n })
+	out := map[tlswire.Version]int{}
+	for _, info := range c.tableIndex().infos {
+		out[info.Print.Version] += info.Records
+	}
 	return out
 }
 

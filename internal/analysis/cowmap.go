@@ -4,8 +4,6 @@ import (
 	"hash/maphash"
 	"maps"
 	"sync/atomic"
-
-	"repro/internal/tlswire"
 )
 
 // numShards is the fixed shard count of every cowMap. At paper scale
@@ -23,9 +21,9 @@ func nextGen() uint64 { return lastGen.Add(1) }
 
 // cowShard is one shard of a cowMap: its entries and the generation of
 // the Client allowed to write them in place.
-type cowShard[K comparable, V any] struct {
+type cowShard[V any] struct {
 	gen uint64
-	m   map[K]V
+	m   map[string]V
 }
 
 // cowMap is the copy-on-write map behind every Client index. Its keys
@@ -34,11 +32,9 @@ type cowShard[K comparable, V any] struct {
 // pointers only; shards are then shared, and the first write to one
 // under a newer generation copies that shard alone. A shard reachable
 // from a published snapshot is therefore never written again, so
-// readers need no lock. hash picks a key's shard and must be set before
-// first use.
-type cowMap[K comparable, V any] struct {
-	shards [numShards]*cowShard[K, V]
-	hash   func(K) uint64
+// readers need no lock. The zero value is an empty map.
+type cowMap[V any] struct {
+	shards [numShards]*cowShard[V]
 	n      int
 }
 
@@ -46,16 +42,12 @@ type cowMap[K comparable, V any] struct {
 // IDs or SNIs cannot aim them all at one shard.
 var shardSeed = maphash.MakeSeed()
 
-func hashString(s string) uint64 { return maphash.String(shardSeed, s) }
-
-func hashVersion(v tlswire.Version) uint64 { return uint64(v) }
-
-func (m *cowMap[K, V]) shard(k K) **cowShard[K, V] {
-	return &m.shards[m.hash(k)%numShards]
+func (m *cowMap[V]) shard(k string) **cowShard[V] {
+	return &m.shards[maphash.String(shardSeed, k)%numShards]
 }
 
 // get returns the value stored under k.
-func (m *cowMap[K, V]) get(k K) (V, bool) {
+func (m *cowMap[V]) get(k string) (V, bool) {
 	if s := *m.shard(k); s != nil {
 		v, ok := s.m[k]
 		return v, ok
@@ -65,10 +57,10 @@ func (m *cowMap[K, V]) get(k K) (V, bool) {
 }
 
 // len returns the number of keys.
-func (m *cowMap[K, V]) len() int { return m.n }
+func (m *cowMap[V]) len() int { return m.n }
 
 // each calls f for every entry, in no particular order.
-func (m *cowMap[K, V]) each(f func(K, V)) {
+func (m *cowMap[V]) each(f func(string, V)) {
 	for _, s := range m.shards {
 		if s == nil {
 			continue
@@ -82,15 +74,15 @@ func (m *cowMap[K, V]) each(f func(K, V)) {
 // set stores v under k on behalf of the Client writing under gen. A
 // shard another generation owns is copied first and the copy replaces
 // it in this map only.
-func (m *cowMap[K, V]) set(gen uint64, k K, v V) {
+func (m *cowMap[V]) set(gen uint64, k string, v V) {
 	p := m.shard(k)
 	s := *p
 	switch {
 	case s == nil:
-		s = &cowShard[K, V]{gen: gen, m: map[K]V{}}
+		s = &cowShard[V]{gen: gen, m: map[string]V{}}
 		*p = s
 	case s.gen != gen:
-		s = &cowShard[K, V]{gen: gen, m: maps.Clone(s.m)}
+		s = &cowShard[V]{gen: gen, m: maps.Clone(s.m)}
 		*p = s
 	}
 	before := len(s.m)

@@ -12,8 +12,8 @@ import (
 var cloneSink *Client
 
 // TestCloneAllocsDoNotGrowWithState pins Clone's cost: one allocation,
-// the Client holding the six shard-pointer arrays, whether the state is
-// a scale-0.3 or a scale-3 population.
+// the Client holding the three shard-pointer arrays, whether the state
+// is a scale-0.3 or a scale-3 population.
 func TestCloneAllocsDoNotGrowWithState(t *testing.T) {
 	allocs := func(scale float64) float64 {
 		c, err := NewClientWorkers(dataset.Generate(dataset.Config{Seed: 20231024, Scale: scale}), 0)
@@ -36,11 +36,11 @@ func mallocs() uint64 {
 }
 
 // TestReMergeCopiesNoDeviceOrSNIShard re-merges, after a Clone, batches
-// whose records the client already holds. Every device, SNI and version
-// union then adds nothing, so the merge must leave every device and SNI
-// shard shared with the clone. What it may copy is bounded by the
-// batch's fingerprints: per print, one FingerprintInfo (its record count
-// moves), one prints shard, and one version-count shard.
+// whose records the client already holds. Every device and SNI union
+// then adds nothing, so the merge must leave every device and SNI shard
+// shared with the clone. What it may copy is bounded by the batch's
+// fingerprints: per print, one FingerprintInfo (its record count moves)
+// and one prints shard.
 func TestReMergeCopiesNoDeviceOrSNIShard(t *testing.T) {
 	rows := dataset.Generate(dataset.Config{Seed: 20231024, Scale: 0.3}).Records.Rows()
 	const batch = 25
@@ -56,10 +56,12 @@ func TestReMergeCopiesNoDeviceOrSNIShard(t *testing.T) {
 		}
 		c.MergeDelta(d)
 	}
-	// allocsPerPrint covers one info copy and one shard copy (a shard
-	// struct plus a small map's allocations) for the print, and one more
-	// shard copy for its version's count.
-	const allocsPerPrint = 10
+	// A print costs 4 allocations: its info copy, and a shard struct, a
+	// map header and the map's storage for its shard's copy. With Go 1.24
+	// every batch of seeds 1, 4242 and 20231024 measured exactly that,
+	// plus at most 2 from elsewhere in the process; the fifth allocation
+	// covers those.
+	const allocsPerPrint = 5
 	for i := 0; i < len(batches); i += 7 {
 		d, err := NewDelta(batches[i])
 		if err != nil {
@@ -74,9 +76,8 @@ func TestReMergeCopiesNoDeviceOrSNIShard(t *testing.T) {
 			t.Errorf("batch %d: re-merge of %d known prints allocated %d times, bound %d",
 				i, prints, allocs, allocsPerPrint*prints)
 		}
-		for s := range c.devicePrints.shards {
-			if c.devicePrints.shards[s] != snap.devicePrints.shards[s] ||
-				c.sniDevices.shards[s] != snap.sniDevices.shards[s] ||
+		for s := range c.sniDevices.shards {
+			if c.sniDevices.shards[s] != snap.sniDevices.shards[s] ||
 				c.devices.shards[s] != snap.devices.shards[s] {
 				t.Fatalf("batch %d: re-merge copied device or SNI shard %d", i, s)
 			}

@@ -110,7 +110,7 @@ func (c *Client) MergeDelta(d *Delta) {
 
 // Clone returns a copy of the client that can be published as an
 // immutable snapshot while the original keeps merging deltas. It copies
-// the fixed shard-pointer arrays of the five indexes, not their entries,
+// the fixed shard-pointer arrays of the three indexes, not their entries,
 // so its cost does not grow with the state: both Clients then share
 // every shard, FingerprintInfo, StringSet and orderedKeys, and each gets
 // a fresh generation, so whichever writes first copies the shard or

@@ -18,20 +18,19 @@ import (
 
 // accessorDump renders everything a Client's accessors expose in one
 // canonical text: every fingerprint with its sets, every device with its
-// vendor, type and prints, every SNI with its devices, and the version
-// tally. Two Clients with equal dumps hold the same state, whatever
-// their shards and generations.
+// vendor and type, every SNI with its devices, and the version tally.
+// Two Clients with equal dumps hold the same state, whatever their
+// shards and generations.
 func accessorDump(c *analysis.Client) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "fingerprints %d\n", c.NumFingerprints())
 	for _, key := range c.FingerprintKeys() {
 		info := c.Fingerprint(key)
-		fmt.Fprintf(&b, "print %s key=%s records=%d devices=%v vendors=%v types=%v snis=%v tuple=%v\n",
-			key, info.Key, info.Records, info.Devices, info.Vendors, info.Types, info.SNIs, info.Print)
+		fmt.Fprintf(&b, "print %s key=%s records=%d devices=%v vendors=%v snis=%v tuple=%v\n",
+			key, info.Key, info.Records, info.Devices, info.Vendors, info.SNIs, info.Print)
 	}
 	for _, dev := range c.Devices() {
-		fmt.Fprintf(&b, "device %s vendor=%s type=%s prints=%v\n",
-			dev, c.DeviceVendor(dev), c.DeviceType(dev), c.DevicePrints(dev))
+		fmt.Fprintf(&b, "device %s vendor=%s type=%s\n", dev, c.DeviceVendor(dev), c.DeviceType(dev))
 	}
 	for _, sni := range c.SNIs() {
 		fmt.Fprintf(&b, "sni %s devices=%v\n", sni, c.SNIDevices(sni))

@@ -31,23 +31,21 @@ func setOf(m map[string]bool) StringSet {
 // every record is parsed individually into plain map sets, converted to
 // the sorted-set form at the end. It is the oracle for the key-walk
 // memoization, the sharded worker pool, and the symbol-space
-// aggregation.
-func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
+// aggregation. It also returns the records per TLS version, tallied
+// record by record, which Table12 must reproduce.
+func newClientReference(t *testing.T, ds *dataset.Dataset) (*Client, map[tlswire.Version]int) {
 	t.Helper()
 	type rawInfo struct {
 		print   fingerprint.Fingerprint
 		devices map[string]bool
 		vendors map[string]bool
-		types   map[string]bool
 		snis    map[string]bool
 		records int
 	}
 	prints := map[string]*rawInfo{}
-	devicePrints := map[string]map[string]bool{}
 	sniDevices := map[string]map[string]bool{}
 	versions := map[tlswire.Version]int{}
 	c := NewClientEmpty()
-	c.DS = ds
 	for _, d := range ds.Devices {
 		c.devices.set(c.gen, d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
 	}
@@ -64,14 +62,12 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 				print:   f,
 				devices: map[string]bool{},
 				vendors: map[string]bool{},
-				types:   map[string]bool{},
 				snis:    map[string]bool{},
 			}
 			prints[key] = info
 		}
 		info.devices[r.DeviceID] = true
 		info.vendors[r.Vendor] = true
-		info.types[r.Type] = true
 		if r.SNI != "" {
 			info.snis[r.SNI] = true
 			if sniDevices[r.SNI] == nil {
@@ -80,14 +76,7 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 			sniDevices[r.SNI][r.DeviceID] = true
 		}
 		info.records++
-		if devicePrints[r.DeviceID] == nil {
-			devicePrints[r.DeviceID] = map[string]bool{}
-		}
-		devicePrints[r.DeviceID][key] = true
 		versions[f.Version]++
-	}
-	for v, n := range versions {
-		c.versionCounts.set(c.gen, v, n)
 	}
 	for key, info := range prints {
 		c.prints.set(c.gen, key, &FingerprintInfo{
@@ -95,18 +84,14 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 			Key:     key,
 			Devices: setOf(info.devices),
 			Vendors: setOf(info.vendors),
-			Types:   setOf(info.types),
 			SNIs:    setOf(info.snis),
 			Records: info.records,
 		})
 	}
-	for dev, keys := range devicePrints {
-		c.devicePrints.set(c.gen, dev, setOf(keys))
-	}
 	for sni, devs := range sniDevices {
 		c.sniDevices.set(c.gen, sni, setOf(devs))
 	}
-	return c
+	return c, versions
 }
 
 // clientState is a Client's contents as plain maps, with every
@@ -114,20 +99,16 @@ func newClientReference(t *testing.T, ds *dataset.Dataset) *Client {
 // contents have equal states under reflect.DeepEqual, however their
 // shards and generations differ.
 type clientState struct {
-	prints        map[string]FingerprintInfo
-	devicePrints  map[string]StringSet
-	devices       map[string]deviceIdentity
-	versionCounts map[tlswire.Version]int
-	sniDevices    map[string]StringSet
+	prints     map[string]FingerprintInfo
+	devices    map[string]deviceIdentity
+	sniDevices map[string]StringSet
 }
 
 func stateOf(c *Client) clientState {
 	st := clientState{
-		prints:        map[string]FingerprintInfo{},
-		devicePrints:  plainMap(&c.devicePrints),
-		devices:       plainMap(&c.devices),
-		versionCounts: plainMap(&c.versionCounts),
-		sniDevices:    plainMap(&c.sniDevices),
+		prints:     map[string]FingerprintInfo{},
+		devices:    plainMap(&c.devices),
+		sniDevices: plainMap(&c.sniDevices),
 	}
 	c.prints.each(func(key string, info *FingerprintInfo) {
 		v := *info
@@ -137,9 +118,9 @@ func stateOf(c *Client) clientState {
 	return st
 }
 
-func plainMap[K comparable, V any](m *cowMap[K, V]) map[K]V {
-	out := make(map[K]V, m.len())
-	m.each(func(k K, v V) { out[k] = v })
+func plainMap[V any](m *cowMap[V]) map[string]V {
+	out := make(map[string]V, m.len())
+	m.each(func(k string, v V) { out[k] = v })
 	return out
 }
 
@@ -178,10 +159,11 @@ func TestStackParseCacheInvariant(t *testing.T) {
 
 // TestNewClientWorkersEquivalence checks that sharded, memoized,
 // symbol-space ingestion reproduces the reference loop state exactly
-// for several worker counts.
+// for several worker counts, and that Table12 reproduces the version
+// counts parsed record by record.
 func TestNewClientWorkersEquivalence(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 11, Scale: 0.4})
-	want := newClientReference(t, ds)
+	want, versions := newClientReference(t, ds)
 	for _, workers := range []int{1, 2, 4, 7, runtime.GOMAXPROCS(0)} {
 		got, err := NewClientWorkers(ds, workers)
 		if err != nil {
@@ -201,14 +183,11 @@ func TestNewClientWorkersEquivalence(t *testing.T) {
 				t.Fatalf("workers=%d: print %s differs:\n got %+v\nwant %+v", workers, key, g, w)
 			}
 		}
-		if !reflect.DeepEqual(gs.devicePrints, ws.devicePrints) {
-			t.Fatalf("workers=%d: DevicePrints differ", workers)
-		}
 		if !reflect.DeepEqual(gs.sniDevices, ws.sniDevices) {
 			t.Fatalf("workers=%d: SNIDevices differ", workers)
 		}
-		if !reflect.DeepEqual(gs.versionCounts, ws.versionCounts) {
-			t.Fatalf("workers=%d: VersionCounts differ", workers)
+		if v := got.Table12(); !reflect.DeepEqual(v, versions) {
+			t.Fatalf("workers=%d: Table12 %v, want %v (record by record)", workers, v, versions)
 		}
 		if !reflect.DeepEqual(gs.devices, ws.devices) {
 			t.Fatalf("workers=%d: device vendors or types differ", workers)
@@ -400,24 +379,31 @@ func sortStrings(s []string) {
 	}
 }
 
+// BenchmarkNewClientIngestion times NewClientWorkers over the seed
+// 20231024 dataset with one worker and with GOMAXPROCS. Scale 10 is the
+// ingest on report-scale10's critical path; it is skipped under -short.
 func BenchmarkNewClientIngestion(b *testing.B) {
-	ds := dataset.Generate(dataset.Config{Seed: 20231024, Scale: 1})
-	b.Run("workers=1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewClientWorkers(ds, 1); err != nil {
-				b.Fatal(err)
+	for _, scale := range []float64{1, 10} {
+		b.Run(fmt.Sprintf("scale=%g", scale), func(b *testing.B) {
+			if scale > 1 && testing.Short() {
+				b.Skip("scale 10 is skipped in -short")
 			}
-		}
-	})
-	b.Run("workers=max", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := NewClientWorkers(ds, runtime.GOMAXPROCS(0)); err != nil {
-				b.Fatal(err)
+			ds := dataset.Generate(dataset.Config{Seed: 20231024, Scale: scale})
+			for _, w := range []struct {
+				name    string
+				workers int
+			}{{"workers=1", 1}, {"workers=max", runtime.GOMAXPROCS(0)}} {
+				b.Run(w.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := NewClientWorkers(ds, w.workers); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
-		}
-	})
+		})
+	}
 }
 
 func benchMatcher() *fingerprint.Matcher { return libcorpus.NewMatcher() }

@@ -254,12 +254,11 @@ func (c *Client) refFigure12() []Figure12Row {
 // the left, their fingerprints on the right.
 func (c *Client) refDeviceGraphForVendor(vendor string) *graph.Bipartite {
 	g := graph.New()
-	c.devicePrints.each(func(dev string, prints StringSet) {
-		if c.DeviceVendor(dev) != vendor {
-			return
-		}
-		for _, key := range prints {
-			g.AddEdge(dev, key)
+	c.prints.each(func(key string, info *FingerprintInfo) {
+		for _, dev := range info.Devices {
+			if c.DeviceVendor(dev) == vendor {
+				g.AddEdge(dev, key)
+			}
 		}
 	})
 	return g
@@ -553,8 +552,8 @@ func (c *Client) refCensus() ExtensionCensus {
 }
 
 // deltaGrownClone grows a Client the way the daemon does, NewDelta per
-// batch and MergeDelta in a shuffled batch order, and returns its Clone:
-// DS is nil there, as in a published snapshot.
+// batch and MergeDelta in a shuffled batch order, and returns its Clone,
+// as the daemon publishes a snapshot.
 func deltaGrownClone(t *testing.T, rows []dataset.Record, seed int64) *Client {
 	t.Helper()
 	const batch = 250
@@ -573,11 +572,7 @@ func deltaGrownClone(t *testing.T, rows []dataset.Record, seed int64) *Client {
 	for _, d := range deltas {
 		c.MergeDelta(d)
 	}
-	snap := c.Clone()
-	if snap.DS != nil {
-		t.Fatal("delta-grown clone carries a dataset")
-	}
-	return snap
+	return c.Clone()
 }
 
 // addTwinPrint adds a print with the ciphersuite list of the print most
@@ -609,11 +604,7 @@ func addTwinPrint(t *testing.T, c *Client) {
 		t.Fatalf("cannot add a twin of %s", orig.Key)
 	}
 	twin.Devices = unionSets(orig.Devices[:len(orig.Devices)/2], StringSet{extra})
-	a := aggregate{prints: []*FingerprintInfo{&twin}}
-	for _, dev := range twin.Devices {
-		a.devicePrints = append(a.devicePrints, keyedSet{dev, StringSet{twin.Key}})
-	}
-	c.merge(&a)
+	c.merge(&aggregate{prints: []*FingerprintInfo{&twin}})
 }
 
 // addSCSVOnlyVendor adds a vendor whose one device proposes one list,
@@ -624,13 +615,10 @@ func addSCSVOnlyVendor(c *Client) {
 	f := c.Fingerprint(c.orderedKeys[0]).Print
 	f.CipherSuites = append([]uint16{ciphersuite.SCSVRenegotiation}, f.CipherSuites...)
 	key := f.Key()
-	c.merge(&aggregate{
-		prints: []*FingerprintInfo{{
-			Print: f, Key: key, Records: 1,
-			Devices: StringSet{dev}, Vendors: StringSet{vendor}, Types: StringSet{"camera"},
-		}},
-		devicePrints: []keyedSet{{dev, StringSet{key}}},
-	})
+	c.merge(&aggregate{prints: []*FingerprintInfo{{
+		Print: f, Key: key, Records: 1,
+		Devices: StringSet{dev}, Vendors: StringSet{vendor},
+	}}})
 	c.setDevice(dev, deviceIdentity{vendor: vendor, typ: "camera"})
 }
 

@@ -245,7 +245,7 @@ func (s *Study) clientTableJobs() []tableJob {
 		{indexed: true, build: func() report.Table { return report.VulnStats(c.Vulnerabilities()) }},
 		{indexed: true, build: func() report.Table { return report.Table11(c.Table11(m)) }},
 		{indexed: true, build: func() report.Table { return report.Figure8(c.Figure8(m, 10)) }},
-		{build: func() report.Table { return report.Table12(c.Table12()) }},
+		{indexed: true, build: func() report.Table { return report.Table12(c.Table12()) }},
 		{indexed: true, build: func() report.Table { return report.Figure11(c.Figure11()) }},
 		{indexed: true, build: func() report.Table { return report.Figure12(c.Figure12()) }},
 		{indexed: true, build: func() report.Table { return report.Census(c.Census()) }},

@@ -47,7 +47,6 @@ var deadExportKeep = map[string]string{
 
 	// Accessors tests observe internal state through.
 	"internal/acme.Client.Tick":                         "one step of the renewal loop the ACME client tests drive",
-	"internal/analysis.Client.DevicePrints":             "per-device fingerprint set the delta-vs-batch equivalence tests compare",
 	"internal/ciphersuite.LookupName":                   "name-to-codepoint lookup the registry and Appendix A tables are checked with",
 	"internal/fingerprint.Fingerprint.Hash":             "stable digest whose format the fingerprint tests pin",
 	"internal/fingerprint.Matcher.DistinctFingerprints": "distinct corpus prints the library-corpus tests assert",

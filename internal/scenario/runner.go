@@ -121,21 +121,22 @@ func execute(ctx context.Context, c Case, workers int, withObs bool) (*runOutput
 	return out, nil
 }
 
-// RunCase executes one case — base run, variant run, and (optionally)
-// an exact rerun — and returns every invariant violation found. The
-// error return is reserved for infrastructure failures (a pipeline
+// runCase executes one case — base run, variant run, and (optionally)
+// an exact rerun — and returns every invariant violation found, and the
+// base run, whose dataset RunMatrix samples for the wire differential.
+// The error return is reserved for infrastructure failures (a pipeline
 // refusing to run at all); invariant breaks are data, not errors.
-func RunCase(ctx context.Context, c Case, opts Options, exactRerun bool) (CaseResult, []Violation, error) {
+func runCase(ctx context.Context, c Case, opts Options, exactRerun bool) (CaseResult, []Violation, *runOutput, error) {
 	name := c.Name()
 	res := CaseResult{Case: name}
 
 	base, err := execute(ctx, c, c.Workers, true)
 	if err != nil {
-		return res, nil, err
+		return res, nil, nil, err
 	}
 	variant, err := execute(ctx, c, c.AltWorkers, false)
 	if err != nil {
-		return res, nil, err
+		return res, nil, nil, err
 	}
 	res.Reruns = 2
 
@@ -153,7 +154,7 @@ func RunCase(ctx context.Context, c Case, opts Options, exactRerun bool) (CaseRe
 	if exactRerun {
 		again, err := execute(ctx, c, c.Workers, true)
 		if err != nil {
-			return res, vs, err
+			return res, vs, nil, err
 		}
 		res.Reruns++
 		if !bytes.Equal(base.report, again.report) {
@@ -183,7 +184,7 @@ func RunCase(ctx context.Context, c Case, opts Options, exactRerun bool) (CaseRe
 	res.Jobs = base.stats.Jobs
 	res.Attempts = base.stats.Attempts
 	res.Retries = base.stats.Retries
-	return res, vs, nil
+	return res, vs, base, nil
 }
 
 // checkConservation enforces the counting laws one run must satisfy.
@@ -339,21 +340,17 @@ func RunMatrix(ctx context.Context, m Matrix, opts Options) (*Summary, error) {
 			return sum, err
 		}
 		exact := opts.rerunEvery() > 0 && i%opts.rerunEvery() == 0
-		res, vs, err := RunCase(ctx, c, opts, exact)
+		res, vs, base, err := runCase(ctx, c, opts, exact)
 		if err != nil {
 			return sum, err
 		}
 		wireDefect := func(invariant, format string, args ...interface{}) {
 			vs = append(vs, Violation{Case: c.Name(), Invariant: invariant, Detail: fmt.Sprintf(format, args...)})
 		}
-		// Re-run the wire differential on the case's dataset. The
+		// Run the wire differential on the base run's dataset. The
 		// dataset depends only on (seed, scale), so sample once per
 		// distinct pair: the first worker-pair/fault/vantage cell.
-		if first := i == firstCaseFor(cases, c.Seed, c.Scale); first {
-			base, err := execute(ctx, c, c.Workers, false)
-			if err != nil {
-				return sum, err
-			}
+		if i == firstCaseFor(cases, c.Seed, c.Scale) {
 			sum.WireRecords += checkWire(base, opts.wireSample(), wireDefect)
 			res.Violations = len(vs)
 		}

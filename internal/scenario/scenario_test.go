@@ -42,7 +42,7 @@ func TestShortMatrixShape(t *testing.T) {
 // per-case invariant, including the exact rerun.
 func TestRunCaseInvariants(t *testing.T) {
 	c := Case{Seed: 3, Scale: 0.06, Workers: 1, AltWorkers: 4, FaultRate: 0.25, MinSNIUsers: 3}
-	res, vs, err := RunCase(context.Background(), c, Options{}, true)
+	res, vs, _, err := runCase(context.Background(), c, Options{}, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,13 +111,12 @@ func TestDeltaMergeMatchesBatch(t *testing.T) {
 	if !reflect.DeepEqual(snap.Client.Table12(), batch.Table12()) {
 		t.Fatalf("version counts diverge:\nservice %v\nbatch   %v", snap.Client.Table12(), batch.Table12())
 	}
-	devs := batch.Devices()
-	if !reflect.DeepEqual(snap.Client.Devices(), devs) {
+	if !reflect.DeepEqual(snap.Client.Devices(), batch.Devices()) {
 		t.Fatal("device sets diverge")
 	}
-	for _, dev := range devs {
-		if !reflect.DeepEqual(snap.Client.DevicePrints(dev), batch.DevicePrints(dev)) {
-			t.Fatalf("device %s: fingerprints diverge", dev)
+	for _, key := range batch.FingerprintKeys() {
+		if !reflect.DeepEqual(snap.Client.Fingerprint(key).Devices, batch.Fingerprint(key).Devices) {
+			t.Fatalf("fingerprint %s: devices diverge", key)
 		}
 	}
 
