@@ -117,8 +117,8 @@ func sortedKeys[V any](m *cowMap[V]) []string {
 	return out
 }
 
-// aggregate is one ingest's result in string form: the unit that
-// NewClientWorkers (the whole dataset) and MergeDelta (one batch) fold
+// aggregate is one shard's result in string form: the unit that
+// NewClientWorkers (one per worker) and MergeDelta (one per batch) fold
 // into a Client through the same merge.
 type aggregate struct {
 	prints     []*FingerprintInfo
@@ -291,44 +291,6 @@ func (st *IngestState) entry(key []byte) *printEntry {
 	return e
 }
 
-// ingestCtx is one ingest's view of an IngestState: the table its record
-// symbols resolve against, and a dense index of the distinct
-// fingerprints the ingest saw, numbered from 0 in order of first sight,
-// so aggregation works on small slices even when the state knows
-// thousands of prints. Shards resolve a key here, under the mutex, only
-// the first time they meet it.
-type ingestCtx struct {
-	st      *IngestState
-	tab     *intern.Table
-	mu      sync.Mutex
-	byPrint map[*printEntry]uint32
-	prints  []*printEntry
-	// parses counts the distinct keys the ingest resolved (the
-	// ingest_parses_total counter): one per key per ingest, whatever
-	// the shard count.
-	parses int64
-}
-
-func (st *IngestState) newCtx(tab *intern.Table) *ingestCtx {
-	return &ingestCtx{st: st, tab: tab, byPrint: map[*printEntry]uint32{}}
-}
-
-// resolve returns the ingest's index of the fingerprint with binary key
-// key.
-func (cx *ingestCtx) resolve(key []byte) uint32 {
-	cx.mu.Lock()
-	defer cx.mu.Unlock()
-	e := cx.st.entry(key)
-	idx, ok := cx.byPrint[e]
-	if !ok {
-		idx = uint32(len(cx.prints))
-		cx.prints = append(cx.prints, e)
-		cx.byPrint[e] = idx
-		cx.parses++
-	}
-	return idx
-}
-
 // edge is one (print, identity-symbol) observation.
 type edge struct {
 	p   uint32
@@ -340,20 +302,27 @@ type sniEdge struct {
 	sni, dev intern.Symbol
 }
 
-// clientShard is one worker's partial aggregation state, kept entirely
-// in symbol space: flat edge sets keyed by packed comparable structs
-// instead of nested map-of-map string sets. Every field merges
-// commutatively (set unions and count additions), so the final Client
-// is identical for any shard count and any merge order; finalize
-// converts the merged symbol-space state to the exported string form
-// exactly once.
+// clientShard is one ingest unit: a daemon batch, or one worker's slice
+// of a dataset. It aggregates in symbol space, over flat edge sets keyed
+// by packed comparable structs, and numbers its own prints densely from
+// 0 in order of first sight, so it works on small slices even when the
+// state knows thousands of prints. Its memo is that numbering: only a
+// key the shard has not met goes to the IngestState's registry, the one
+// thing shards share, which keeps each tuple once. finalize converts
+// the shard to string form, and Client.merge folds the result; unions
+// and count additions commute, so the Client is identical for any shard
+// count and any merge order.
 type clientShard struct {
-	ctx *ingestCtx
-	// memo maps binary key to the print's ingest index; key is the
-	// buffer each record's key is read into.
+	st *IngestState
+	// tab is the intern table of the records ingest reads.
+	tab *intern.Table
+	// memo maps binary key to the shard's print number, which indexes
+	// prints and printRecords; key is the buffer each record's key is
+	// read into.
 	memo         map[string]uint32
 	key          []byte
-	printRecords map[uint32]int
+	prints       []*printEntry
+	printRecords []int
 	printDevices map[edge]struct{}
 	printVendors map[edge]struct{}
 	printSNIs    map[edge]struct{}
@@ -362,18 +331,17 @@ type clientShard struct {
 	err          error
 	// memoHits / memoMisses tally the L1 parse-memo effectiveness;
 	// records is the shard's input size. Plain ints: each shard owns
-	// its own counters and the merge publishes totals once, so the hot
+	// its own counters and the ingest publishes totals once, so the hot
 	// loop pays no atomics even when instrumentation is on.
 	memoHits   int64
 	memoMisses int64
 	records    int64
 }
 
-func (s *clientShard) init(cx *ingestCtx) {
-	s.ctx = cx
+func (s *clientShard) init(st *IngestState) {
+	s.st = st
 	s.memo = map[string]uint32{}
 	s.key = make([]byte, 0, 512)
-	s.printRecords = map[uint32]int{}
 	s.printDevices = map[edge]struct{}{}
 	s.printVendors = map[edge]struct{}{}
 	s.printSNIs = map[edge]struct{}{}
@@ -409,8 +377,9 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 		c.setDevice(d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
 	}
 
-	cx := NewIngestState().newCtx(ds.Records.Table())
+	st := NewIngestState()
 	shards := make([]clientShard, workers)
+	aggs := make([]aggregate, workers)
 	var wg sync.WaitGroup
 	per := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
@@ -422,31 +391,31 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 		if lo >= hi {
 			continue
 		}
-		shards[w].init(cx)
 		wg.Add(1)
-		go func(shard *clientShard, lo, hi int) {
+		go func(w, lo, hi int) {
 			defer wg.Done()
-			shard.ingest(ds.Records.Slice(lo, hi), lo)
-		}(&shards[w], lo, hi)
+			s := &shards[w]
+			s.init(st)
+			s.ingest(ds.Records.Slice(lo, hi), lo)
+			if s.err == nil {
+				aggs[w] = s.finalize()
+			}
+		}(w, lo, hi)
 	}
 	wg.Wait()
 
 	// Deterministic merge: the shard with the lowest-index parse error
 	// wins (matching the sequential loop's first-error semantics), and
-	// aggregate state merges by union/addition in symbol space before
-	// one finalize pass converts it to string form.
+	// the shards' aggregates fold in shard order through the merge a
+	// daemon batch takes.
 	for i := range shards {
 		if shards[i].err != nil {
 			return nil, fmt.Errorf("analysis: record %d: %w", shards[i].errIdx, shards[i].err)
 		}
 	}
-	var agg clientShard
-	agg.init(cx)
-	for i := range shards {
-		agg.mergeFrom(&shards[i])
+	for i := range aggs {
+		c.merge(&aggs[i])
 	}
-	a := agg.finalize()
-	c.merge(&a)
 
 	if m != nil {
 		var hits, misses, records int64
@@ -458,7 +427,8 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 		m.Counter("ingest_records_total").Add(records)
 		m.Counter("ingest_memo_hits_total").Add(hits)
 		m.Counter("ingest_memo_misses_total").Add(misses)
-		m.Counter("ingest_parses_total").Add(cx.parses)
+		_, prints := st.Size()
+		m.Counter("ingest_parses_total").Add(int64(prints))
 		m.Counter("ingest_fingerprints_total").Add(int64(c.NumFingerprints()))
 		m.Histogram("ingest_seconds", obs.DurationBuckets).Observe(sw.Seconds())
 	}
@@ -475,6 +445,7 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 // it does in time order; aggregation does not depend on the order, and
 // the error kept is the lowest-index one whatever the order.
 func (s *clientShard) ingest(recs dataset.Records, base int) {
+	s.tab = recs.Table()
 	s.records = int64(recs.Len())
 	for _, j := range recs.StorageOrder() {
 		i := int(j)
@@ -491,7 +462,9 @@ func (s *clientShard) ingest(recs dataset.Records, base int) {
 			s.memoHits++
 		} else {
 			s.memoMisses++
-			p = s.ctx.resolve(key)
+			p = uint32(len(s.prints))
+			s.prints = append(s.prints, s.st.entry(key))
+			s.printRecords = append(s.printRecords, 0)
 			s.memo[string(key)] = p
 		}
 		sniSym := recs.SNISym(i)
@@ -506,68 +479,38 @@ func (s *clientShard) ingest(recs dataset.Records, base int) {
 	}
 }
 
-// mergeFrom folds another shard's symbol-space aggregate into s. Both
-// shards must share one ingestCtx (print indices and symbols resolve
-// against the same registries). All operations are commutative and
-// associative, so any merge order yields the same final state.
-func (s *clientShard) mergeFrom(o *clientShard) {
-	for idx, n := range o.printRecords {
-		s.printRecords[idx] += n
-	}
-	for e := range o.printDevices {
-		s.printDevices[e] = struct{}{}
-	}
-	for e := range o.printVendors {
-		s.printVendors[e] = struct{}{}
-	}
-	for e := range o.printSNIs {
-		s.printSNIs[e] = struct{}{}
-	}
-	for e := range o.sniDevices {
-		s.sniDevices[e] = struct{}{}
-	}
-}
-
-// finalize converts the merged symbol-space aggregate into string
+// finalize converts the shard's symbol-space aggregate into string
 // form: edges become sorted StringSets, and symbols resolve through the
 // intern table (no new string is allocated — the sets share the
 // interned instances).
 func (s *clientShard) finalize() aggregate {
-	cx := s.ctx
-	a := aggregate{prints: make([]*FingerprintInfo, 0, len(s.printRecords))}
-	infos := make([]FingerprintInfo, len(cx.prints))
-	infoByIdx := make([]*FingerprintInfo, len(cx.prints))
-	for idx, n := range s.printRecords {
-		e := cx.prints[idx]
-		info := &infos[idx]
-		info.Print = e.print
-		info.Key = e.key
-		info.Records = n
-		infoByIdx[idx] = info
-		a.prints = append(a.prints, info)
+	a := aggregate{prints: make([]*FingerprintInfo, len(s.prints))}
+	infos := make([]FingerprintInfo, len(s.prints))
+	for p, e := range s.prints {
+		infos[p] = FingerprintInfo{Print: e.print, Key: e.key, Records: s.printRecords[p]}
+		a.prints[p] = &infos[p]
 	}
 	// Each edge set becomes a sub-slice carved out of one shared backing
 	// array per category: count first, then hand every print a
 	// capacity-clamped view sized exactly, so filling allocates nothing
-	// per set. Every edge's print has at least one record, so
-	// infoByIdx[e.p] is always non-nil here.
+	// per set.
 	fillSets := func(edges map[edge]struct{}, slot func(*FingerprintInfo) *StringSet) {
-		counts := make([]int, len(infoByIdx))
+		counts := make([]int, len(infos))
 		for e := range edges {
 			counts[e.p]++
 		}
 		backing := make([]string, len(edges))
 		off := 0
-		for idx, n := range counts {
+		for p, n := range counts {
 			if n == 0 {
 				continue
 			}
-			*slot(infoByIdx[idx]) = backing[off : off : off+n]
+			*slot(&infos[p]) = backing[off : off : off+n]
 			off += n
 		}
 		for e := range edges {
-			sl := slot(infoByIdx[e.p])
-			*sl = append(*sl, cx.tab.Str(e.sym))
+			sl := slot(&infos[e.p])
+			*sl = append(*sl, s.tab.Str(e.sym))
 		}
 	}
 	fillSets(s.printDevices, func(i *FingerprintInfo) *StringSet { return &i.Devices })
@@ -587,7 +530,7 @@ func (s *clientShard) finalize() aggregate {
 // array, like fillSets', and SNIs stay symbols until each set's key is
 // resolved once.
 func (s *clientShard) groupSNIs() []keyedSet {
-	tab := s.ctx.tab
+	tab := s.tab
 	// slot counts each SNI's devices, then holds the SNI's index in out.
 	slot := map[intern.Symbol]int{}
 	for e := range s.sniDevices {

@@ -9,16 +9,16 @@ import (
 )
 
 // This file is the incremental half of the client analysis: the batch
-// path shards a full dataset and merges once in symbol space, while a
-// resident service parses record batches into Deltas as they arrive
-// and folds each into a long-lived Client. A Delta decodes its batch
-// straight into a per-batch columnar store over the service's
+// path shards a full dataset and folds each shard's aggregate into the
+// Client, while a resident service parses record batches into Deltas as
+// they arrive and folds each into a long-lived Client. A Delta decodes
+// its batch straight into a per-batch columnar store over the service's
 // IngestState, runs the same clientShard ingest, and finalizes into
-// string form; MergeDelta then unions sorted StringSets — and a union
-// of sorted sets is itself sorted, so a Client grown delta-by-delta is
-// identical to one built by NewClientWorkers over the union of the
-// records. That is the equivalence the service's drain invariant relies
-// on.
+// string form; MergeDelta then unions sorted StringSets through the
+// merge the batch path's shards take — and a union of sorted sets is
+// itself sorted, so a Client grown delta-by-delta is identical to one
+// built by NewClientWorkers over the union of the records. That is the
+// equivalence the service's drain invariant relies on.
 
 // Delta is the parsed, aggregated form of one record batch, ready to
 // merge into a Client. It keeps the batch in columns over its ingest
@@ -62,7 +62,7 @@ func (st *IngestState) NewDelta(records []dataset.Record) (*Delta, error) {
 	}
 	recs := dataset.RecordsFromRows(st.tab, records)
 	var shard clientShard
-	shard.init(st.newCtx(st.tab))
+	shard.init(st)
 	shard.ingest(recs, 0)
 	if shard.err != nil {
 		return nil, fmt.Errorf("analysis: record %d: %w", shard.errIdx, shard.err)

@@ -199,10 +199,11 @@ func TestNewClientWorkersEquivalence(t *testing.T) {
 }
 
 // TestIngestParsesOncePerKey pins the resolve-once guarantee: every
-// record's binary key is read, but each distinct key — each distinct
-// fingerprint — is resolved exactly once per run, regardless of worker
-// count. The ingest_parses_total counter equals the number of distinct
-// keys, never the record count.
+// record's binary key is read, and each shard numbers its own prints,
+// but the ingest's registry holds each distinct key — each distinct
+// fingerprint — once, regardless of worker count. The
+// ingest_parses_total counter reads the registry's size, so it equals
+// the number of distinct keys, never the record count.
 func TestIngestParsesOncePerKey(t *testing.T) {
 	ds := dataset.Generate(dataset.Config{Seed: 11, Scale: 0.4})
 	distinct := map[string]bool{}

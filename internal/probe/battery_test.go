@@ -25,8 +25,8 @@ func (p scriptedHelloProber) ProbeHello(ctx context.Context, sni string, v simne
 	if err != nil {
 		return resp, err
 	}
-	resp.SelectedCipher = hello.CipherSuites[0]
-	resp.NegotiatedVersion = hello.LegacyVersion
+	resp.Cipher = hello.CipherSuites[0]
+	resp.Version = hello.LegacyVersion
 	return resp, nil
 }
 
@@ -68,8 +68,8 @@ func TestRunBatteryOrderingAndEvidence(t *testing.T) {
 		if r.SNI != wantSNIs[i] || r.Probe != wantProbes[i] {
 			t.Fatalf("results[%d] = (%s,%s), want (%s,%s)", i, r.SNI, r.Probe, wantSNIs[i], wantProbes[i])
 		}
-		if r.Err != nil || r.Response.SelectedCipher != wantCipher[i] {
-			t.Fatalf("results[%d]: cipher %04x err %v, want %04x", i, r.Response.SelectedCipher, r.Err, wantCipher[i])
+		if r.Err != nil || r.Response.Cipher != wantCipher[i] {
+			t.Fatalf("results[%d]: cipher %04x err %v, want %04x", i, r.Response.Cipher, r.Err, wantCipher[i])
 		}
 	}
 	if stats.Jobs != 4 || stats.Successes != 4 {
@@ -129,7 +129,7 @@ func TestRunBatteryDeterministicAcrossWorkers(t *testing.T) {
 		for i := range base {
 			if got[i].SNI != base[i].SNI || got[i].Probe != base[i].Probe ||
 				got[i].Class != base[i].Class ||
-				got[i].Response.SelectedCipher != base[i].Response.SelectedCipher {
+				got[i].Response.Cipher != base[i].Response.Cipher {
 				t.Fatalf("workers=%d: results[%d] diverged: %+v vs %+v", workers, i, got[i], base[i])
 			}
 		}
@@ -169,7 +169,7 @@ func (p *overlapProber) ProbeHello(ctx context.Context, sni string, v simnet.Van
 	p.mu.Lock()
 	p.inFlight[sni]--
 	p.mu.Unlock()
-	return Response{SelectedCipher: hello.CipherSuites[0]}, nil
+	return Response{Cipher: hello.CipherSuites[0]}, nil
 }
 
 // TestRunBatteryOneHostAtATime: with several workers, no two probes of

@@ -20,35 +20,16 @@ import (
 	"net"
 	"os"
 
-	"repro/internal/pki"
 	"repro/internal/simnet"
 	"repro/internal/tlswire"
 )
 
-// Response is the structured outcome of one successful probe attempt:
-// the certificate chain plus the negotiation evidence the server
-// exhibited. A server refusing the hello with a TLS alert is still a
-// successful probe — Alert carries the refusal and Chain is empty —
-// because the refusal is evidence, not a transport failure.
-type Response struct {
-	// Chain the server presented (empty on an alert).
-	Chain pki.Chain
-	// NegotiatedVersion the server selected.
-	NegotiatedVersion tlswire.Version
-	// SelectedCipher is the suite the server chose.
-	SelectedCipher uint16
-	// EchoedExtensions lists the ServerHello extension types in emission
-	// order.
-	EchoedExtensions []uint16
-	// HelloRetryRequest marks a TLS 1.3 HelloRetryRequest answer, with
-	// RetryGroup naming the key-share group the server asked for.
-	HelloRetryRequest bool
-	// RetryGroup is the named group an HRR requested (0 otherwise).
-	RetryGroup uint16
-	// Alert is the server's refusal, when it sent one instead of a
-	// ServerHello.
-	Alert *tlswire.Alert
-}
+// Response is the structured outcome of one successful probe attempt,
+// the world's negotiation: the certificate chain plus the evidence the
+// server exhibited. A server refusing the hello with a TLS alert is
+// still a successful probe — Alert carries the refusal and Chain is
+// empty — because the refusal is evidence, not a transport failure.
+type Response = simnet.Negotiation
 
 // Prober is one probing backend: a single attempt against (SNI, vantage)
 // honouring the context deadline. Implementations decide what a probe
@@ -73,36 +54,19 @@ type WorldProber struct {
 	RealTLS bool
 }
 
-func responseOf(n simnet.Negotiation) Response {
-	return Response{
-		Chain:             n.Chain,
-		NegotiatedVersion: n.Version,
-		SelectedCipher:    n.Cipher,
-		EchoedExtensions:  n.Echoed,
-		HelloRetryRequest: n.HelloRetryRequest,
-		RetryGroup:        n.RetryGroup,
-		Alert:             n.Alert,
-	}
-}
-
 // Probe runs one attempt against the world.
 func (p WorldProber) Probe(ctx context.Context, sni string, vantage simnet.Vantage) (Response, error) {
-	var n simnet.Negotiation
-	var err error
 	if p.RealTLS {
-		n, err = p.World.ProbeContext(ctx, sni, vantage)
-	} else {
-		n, err = p.World.ProbeFastContext(ctx, sni, vantage)
+		return p.World.ProbeContext(ctx, sni, vantage)
 	}
-	return responseOf(n), err
+	return p.World.ProbeFastContext(ctx, sni, vantage)
 }
 
 // ProbeHello answers a crafted hello with the server's stack-model
 // response. Crafted hellos always take the model path: the stack model
 // is what a crafted hello interrogates, in both probe modes.
 func (p WorldProber) ProbeHello(ctx context.Context, sni string, vantage simnet.Vantage, hello *tlswire.ClientHello) (Response, error) {
-	n, err := p.World.NegotiateFast(ctx, sni, vantage, hello)
-	return responseOf(n), err
+	return p.World.NegotiateFast(ctx, sni, vantage, hello)
 }
 
 // ErrCircuitOpen: the per-host circuit breaker rejected the attempt

@@ -47,9 +47,9 @@ func ObservationOf(r probe.Result) Observation {
 		o.Alerted = true
 		o.Alert = r.Response.Alert.Description
 	default:
-		o.Version = r.Response.NegotiatedVersion
-		o.Cipher = r.Response.SelectedCipher
-		o.Echoed = r.Response.EchoedExtensions
+		o.Version = r.Response.Version
+		o.Cipher = r.Response.Cipher
+		o.Echoed = r.Response.Echoed
 		o.HRR = r.Response.HelloRetryRequest
 		o.RetryGroup = r.Response.RetryGroup
 	}

@@ -439,7 +439,6 @@ func (s *Service) worker() {
 			s.handoff <- parsedBatch{item: item, delta: delta}
 			continue
 		}
-		s.complete(item, false)
 		s.gauges()
 	}
 }
@@ -525,7 +524,6 @@ func (s *Service) publish(group []parsedBatch) {
 	now := s.opts.Clock.Now()
 	snap := &Snapshot{
 		Epoch:   s.batches,
-		Batches: s.batches,
 		Records: records,
 		At:      now,
 		Client:  s.live.Clone(),
@@ -550,15 +548,17 @@ func (s *Service) publish(group []parsedBatch) {
 	acceptedRecords := m.Counter("service_accepted_records_total")
 	for _, p := range group {
 		n := int64(p.delta.Records().Len())
-		s.acceptedB.Add(1)
-		s.acceptedR.Add(n)
 		lat := now.Sub(p.item.at).Seconds()
 		s.latMu.Lock()
 		s.latencies.add(lat)
 		s.latMu.Unlock()
 		ingest.Observe(lat)
 		acceptedRecords.Add(n)
+		// Count the batch only once its breaker and admission state
+		// moved, as quarantine does.
 		s.complete(p.item, true)
+		s.acceptedB.Add(1)
+		s.acceptedR.Add(n)
 	}
 	s.gauges()
 }
@@ -579,9 +579,11 @@ func (s *Service) complete(item batchItem, merged bool) {
 	s.mu.Unlock()
 }
 
+// quarantine retires a batch that failed to parse: it logs the batch,
+// reports the failure to the source's breaker and completes the batch,
+// and only then counts it, so a Stats reader that sees the count also
+// sees the breaker and the admission state it left.
 func (s *Service) quarantine(item batchItem, reason string) {
-	s.quarantinedB.Add(1)
-	s.quarantinedR.Add(int64(len(item.records)))
 	now := s.opts.Clock.Now()
 	s.lastActivity.Store(now.UnixNano())
 	s.mu.Lock()
@@ -596,6 +598,9 @@ func (s *Service) quarantine(item batchItem, reason string) {
 	if br != nil {
 		br.Failure(now)
 	}
+	s.complete(item, false)
+	s.quarantinedB.Add(1)
+	s.quarantinedR.Add(int64(len(item.records)))
 	if m := s.opts.Metrics; m != nil {
 		m.Counter("service_quarantined_total", obs.L("source", item.source)).Inc()
 	}

@@ -122,7 +122,7 @@ func TestDeltaMergeMatchesBatch(t *testing.T) {
 
 	var got, want bytes.Buffer
 	snap.WriteReport(&got, s.matcher, 2)
-	alt := &Snapshot{Epoch: snap.Epoch, Batches: snap.Batches, Records: snap.Records, At: snap.At, Client: batch}
+	alt := &Snapshot{Epoch: snap.Epoch, Records: snap.Records, At: snap.At, Client: batch}
 	alt.WriteReport(&want, s.matcher, 5)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("snapshot report bytes diverge from batch render (%d vs %d bytes)", got.Len(), want.Len())

@@ -21,12 +21,11 @@ import (
 // changes. Every snapshot is the analysis of a prefix of the accepted
 // record log.
 type Snapshot struct {
-	// Epoch is the number of accepted batches folded in (equal to
-	// Batches). It only moves forward, and it skips values when several
-	// batches publish together; Stats.Publications counts snapshots.
+	// Epoch is the number of accepted batches folded in. It only moves
+	// forward, and it skips values when several batches publish
+	// together; Stats.Publications counts snapshots.
 	Epoch int64
-	// Batches and Records are the accepted totals folded in so far.
-	Batches int64
+	// Records is the number of accepted records folded in.
 	Records int64
 	// At is the publication time (the injected clock's view).
 	At time.Time
@@ -46,7 +45,7 @@ func (s *Service) Snapshot() *Snapshot {
 // the probe world and exist only in the drained FinalReport.
 func (sn *Snapshot) WriteReport(w io.Writer, matcher *fingerprint.Matcher, workers int) {
 	fmt.Fprintf(w, "IoT TLS Service Snapshot — epoch %d, %d batches, %d records, %d fingerprints\n\n",
-		sn.Epoch, sn.Batches, sn.Records, sn.Client.NumFingerprints())
+		sn.Epoch, sn.Epoch, sn.Records, sn.Client.NumFingerprints())
 	st := core.Study{Config: core.Config{Workers: workers}, Client: sn.Client, Matcher: matcher}
 	for _, t := range st.ClientTables() {
 		t.WriteText(w)

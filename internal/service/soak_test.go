@@ -159,11 +159,10 @@ func TestDrainMidLoadWithinDeadline(t *testing.T) {
 
 // TestSnapshotsArePrefixesOfAcceptedLog is the coalescing soak: four
 // submitters post 200 small batches back to back while readers keep
-// every distinct snapshot they load. After the drain, every kept
-// snapshot must be an epoch of whole batches (Epoch == Batches), epochs
-// and record counts must never decrease in any reader's load order, and
-// each snapshot's report must equal a fresh batch analysis of the
-// accepted log's first snap.Records records. Run it under -race.
+// every distinct snapshot they load. After the drain, epochs and record
+// counts must never decrease in any reader's load order, and each kept
+// snapshot's report must equal a fresh batch analysis of the accepted
+// log's first snap.Records records. Run it under -race.
 func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 	recs := testRecords(t)
 	s := New(Options{Seed: 19, Workers: 4, QueueDepth: 1024, SourceBudget: 1024})
@@ -227,9 +226,6 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 	for r, snaps := range kept {
 		for i, snap := range snaps {
 			distinct[snap] = true
-			if snap.Epoch != snap.Batches {
-				t.Fatalf("reader %d: snapshot epoch %d covers %d batches", r, snap.Epoch, snap.Batches)
-			}
 			if i > 0 && (snap.Epoch < snaps[i-1].Epoch || snap.Records < snaps[i-1].Records) {
 				t.Fatalf("reader %d: snapshot went back from epoch %d (%d records) to epoch %d (%d records)",
 					r, snaps[i-1].Epoch, snaps[i-1].Records, snap.Epoch, snap.Records)
@@ -247,7 +243,7 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 		}
 		var got, want bytes.Buffer
 		snap.WriteReport(&got, s.matcher, 2)
-		ref := &Snapshot{Epoch: snap.Epoch, Batches: snap.Batches, Records: snap.Records, Client: batch}
+		ref := &Snapshot{Epoch: snap.Epoch, Records: snap.Records, Client: batch}
 		ref.WriteReport(&want, s.matcher, 2)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("epoch %d (%d records): report differs from a batch analysis of the accepted prefix",
@@ -280,7 +276,7 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 	waitFor(t, "early batches merged", func() bool { return s.Stats().AcceptedBatches == batches })
 	snap := s.Snapshot()
 	var want bytes.Buffer
-	(&Snapshot{Epoch: snap.Epoch, Batches: snap.Batches, Records: snap.Records, Client: ref}).
+	(&Snapshot{Epoch: snap.Epoch, Records: snap.Records, Client: ref}).
 		WriteReport(&want, libcorpus.NewMatcher(), 1)
 
 	matcher := libcorpus.NewMatcher()

@@ -355,16 +355,6 @@ func (st *ServerStack) supports12(id uint16) bool {
 	return false
 }
 
-// supports13 reports whether the stack accepts the TLS 1.3 suite.
-func (st *ServerStack) supports13(id uint16) bool {
-	for _, s := range st.Preference13 {
-		if s == id {
-			return true
-		}
-	}
-	return false
-}
-
 // selectCipher12 applies the stack's TLS <= 1.2 selection policy; ok is
 // false when no offered suite is acceptable.
 func (st *ServerStack) selectCipher12(offered []uint16) (uint16, bool) {
