@@ -307,11 +307,10 @@ type sniEdge struct {
 // by packed comparable structs, and numbers its own prints densely from
 // 0 in order of first sight, so it works on small slices even when the
 // state knows thousands of prints. Its memo is that numbering: only a
-// key the shard has not met goes to the IngestState's registry, the one
-// thing shards share, which keeps each tuple once. finalize converts
-// the shard to string form, and Client.merge folds the result; unions
-// and count additions commute, so the Client is identical for any shard
-// count and any merge order.
+// key the shard has not met goes to the IngestState's registry, which
+// keeps each tuple once. finalize converts the shard to string form, and
+// Client.merge folds the result; unions and count additions commute, so
+// the Client is identical for any shard count and any merge order.
 type clientShard struct {
 	st *IngestState
 	// tab is the intern table of the records ingest reads.
