@@ -34,7 +34,7 @@ func main() {
 	seed, scale := &common.Seed, &common.Scale
 
 	ds := dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})
-	world := simnet.Build(simnet.Config{Seed: *seed + 1, SNIs: ds.SNIsByMinUsers(2)})
+	world := simnet.Build(simnet.Config{Seed: *seed + 1, SNIs: ds.SNIsByMinUsers(2), Workers: common.Workers})
 	log := world.Log
 	head := log.Head()
 	fmt.Printf("log %s: size=%d root=%s\n\n", log.ID, head.Size, head.RootHash)

@@ -151,7 +151,7 @@ func write(t report.Table, csv bool) {
 func runCases(cfg core.Config) {
 	// Section 6.1: smart TVs.
 	ds := dataset.Generate(dataset.Config{Seed: cfg.Seed, Scale: cfg.Scale})
-	world := simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: ds.SNIsByMinUsers(cfg.MinSNIUsers)})
+	world := simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: ds.SNIsByMinUsers(cfg.MinSNIUsers), Workers: cfg.Workers})
 	tv := smarttv.Run(world)
 	fmt.Println("== Figure 7: Leaf certificates in Amazon and Roku groups ==")
 	for _, r := range tv.Figure7() {

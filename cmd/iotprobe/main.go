@@ -90,7 +90,7 @@ func main() {
 			}
 		}
 	}
-	world := simnet.Build(simnet.Config{Seed: *seed + 1, SNIs: worldSNIs})
+	world := simnet.Build(simnet.Config{Seed: *seed + 1, SNIs: worldSNIs, Workers: *workers})
 	if *faultRate > 0 {
 		world.SetFaults(simnet.Faults{Seed: *seed, TransientRate: *faultRate})
 	}

@@ -68,9 +68,9 @@ type Config struct {
 	// len(serverfp.Battery()) extra probes per SNI, and the pre-existing
 	// report tables stay byte-identical either way.
 	ServerFP bool
-	// Workers bounds the worker pools for record ingestion, probing, and
-	// table rendering. 0 means GOMAXPROCS. Results are identical for any
-	// worker count; only wall time changes.
+	// Workers bounds the worker pools for record ingestion, certificate
+	// minting, probing, and table rendering. 0 means GOMAXPROCS. Results
+	// are identical for any worker count; only wall time changes.
 	Workers int
 	// Probe tunes the resilient probe engine (zero value = defaults).
 	Probe probe.Options

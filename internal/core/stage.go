@@ -130,7 +130,7 @@ func runSNIStage(_ context.Context, st *Study, rec *StageRecorder) error {
 
 func runWorldStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	cfg := st.Config
-	st.World = simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: st.SNIs, AsOf: cfg.AsOf, Faults: cfg.Faults})
+	st.World = simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: st.SNIs, AsOf: cfg.AsOf, Faults: cfg.Faults, Workers: cfg.workers()})
 	st.World.Validator.Instrument(cfg.Metrics)
 	rec.Count("servers", int64(len(st.World.Servers)))
 	return nil

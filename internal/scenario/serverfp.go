@@ -64,7 +64,7 @@ func runServerFPCell(ctx context.Context, c ServerFPCase, workers int) (*serverf
 	if c.FaultRate > 0 {
 		faults = &simnet.Faults{Seed: c.Seed + 2, TransientRate: c.FaultRate, Sleep: virtualSleep}
 	}
-	world := simnet.Build(simnet.Config{Seed: c.Seed + 1, SNIs: snis, Faults: faults})
+	world := simnet.Build(simnet.Config{Seed: c.Seed + 1, SNIs: snis, Faults: faults, Workers: workers})
 	// The same timing neutralization Case.config applies: collapsed
 	// backoff and an out-of-reach breaker keep the worker interleaving
 	// out of the results.

@@ -62,7 +62,7 @@ func (s *Service) ServerFP(ctx context.Context) (*ServerFPView, error) {
 		// The world seed mirrors the batch pipeline's (cfg.Seed + 1), so
 		// the daemon fingerprints the same simulated backends a core.Run
 		// over the accepted records would probe.
-		world := simnet.Build(simnet.Config{Seed: s.opts.Seed + 1, SNIs: snis})
+		world := simnet.Build(simnet.Config{Seed: s.opts.Seed + 1, SNIs: snis, Workers: s.opts.Workers})
 		census, err := serverfp.Fingerprint(ctx, world, snis, simnet.VantageNewYork, probe.Options{
 			Workers: s.opts.Workers,
 			Seed:    s.opts.Seed,

@@ -300,10 +300,11 @@ type Service struct {
 	// (one merge group) and publish (clone and store).
 	phases struct{ decode, parse, merge, publish *obs.Histogram }
 	// kept are the gauges of what the daemon keeps for its whole life,
-	// set at each publication, nil without a registry: the accepted
-	// log's records and bytes, and the ingest state's strings and
-	// prints.
-	kept struct{ records, logBytes, strings, prints *obs.Gauge }
+	// nil without a registry: the accepted log's records and bytes, and
+	// the ingest state's strings and prints, set at each publication;
+	// and the per-source table's size, set under mu when Submit meets a
+	// new source.
+	kept struct{ records, logBytes, strings, prints, sources *obs.Gauge }
 
 	gate   *gate
 	wg     sync.WaitGroup
@@ -335,6 +336,7 @@ func New(opts Options) *Service {
 	m := opts.Metrics
 	s.kept.records, s.kept.logBytes = m.Gauge("service_accepted_records"), m.Gauge("service_accepted_log_bytes")
 	s.kept.strings, s.kept.prints = m.Gauge("service_ingest_strings"), m.Gauge("service_ingest_prints")
+	s.kept.sources = m.Gauge("service_sources")
 	s.matcher = libcorpus.NewMatcher()
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	now := opts.Clock.Now()
@@ -373,6 +375,7 @@ func (s *Service) Submit(source string, records []dataset.Record) Outcome {
 	if br == nil {
 		br = probe.NewBreaker(s.opts.BreakerThreshold, s.opts.BreakerCooldown)
 		s.breakers[source] = br
+		s.kept.sources.Set(int64(len(s.breakers)))
 	}
 	if !br.Allow(now) {
 		s.mu.Unlock()

@@ -493,6 +493,49 @@ func TestKeptStateGauges(t *testing.T) {
 	}
 }
 
+// TestSourcesGauge: service_sources reads the size of the per-source
+// table. After posts from N sources it reads N, and repeat posts from
+// known sources do not move it; neither does a post shed while
+// draining, which is refused before it reaches the table.
+func TestSourcesGauge(t *testing.T) {
+	recs := testRecords(t)
+	reg := obs.NewRegistry("")
+	s := New(Options{Seed: 29, Workers: 2, QueueDepth: 256, SourceBudget: 256, ShedWatermark: 1, Metrics: reg})
+	gauge := func() int64 { return reg.Gauge("service_sources").Value() }
+	if got := gauge(); got != 0 {
+		t.Fatalf("service_sources = %d before any post", got)
+	}
+	const n = 5
+	bs := batches(recs, 10)
+	if len(bs) < 2*n {
+		t.Fatalf("need %d batches, have %d", 2*n, len(bs))
+	}
+	for i := 0; i < n; i++ {
+		if o := s.Submit(fmt.Sprintf("src-%d", i), bs[i]); !o.Accepted() {
+			t.Fatalf("src-%d: outcome %v", i, o)
+		}
+		if got := gauge(); got != int64(i+1) {
+			t.Fatalf("after %d sources service_sources = %d", i+1, got)
+		}
+	}
+	for i := 0; i < n; i++ {
+		if o := s.Submit(fmt.Sprintf("src-%d", i), bs[n+i]); !o.Accepted() {
+			t.Fatalf("src-%d repeat: outcome %v", i, o)
+		}
+	}
+	if got := gauge(); got != n {
+		t.Fatalf("repeat posts moved service_sources to %d, want %d", got, n)
+	}
+	s.BeginDrain()
+	if o := s.Submit("late", bs[0]); o.Accepted() {
+		t.Fatalf("a post after BeginDrain was accepted: %v", o)
+	}
+	if got := gauge(); got != n {
+		t.Fatalf("a post shed while draining moved service_sources to %d, want %d", got, n)
+	}
+	drain(t, s)
+}
+
 // TestIngestLatencyWindowIsBounded: after 10,000 accepted batches the
 // /statz latency sample holds the latest 4,096 latencies and no more,
 // and IngestP50/P99 are the quantiles of exactly that window.

@@ -20,8 +20,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/ctlog"
@@ -127,6 +130,9 @@ type Config struct {
 	// Faults optionally installs deterministic fault injection on the
 	// probe path (equivalent to calling SetFaults after Build).
 	Faults *Faults
+	// Workers bounds how many certificates Build mints at once. 0 means
+	// GOMAXPROCS. The world is the same for any worker count.
+	Workers int
 }
 
 // publicCAWeights drives the Figure 5 issuer distribution (DigiCert signs
@@ -252,12 +258,19 @@ var cdnSLDs = map[string]bool{
 	"ytimg.com":       true,
 }
 
-// Build constructs the world for the SNI set.
+// caBirth is when every CA root's validity starts.
+var caBirth = time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)
+
+// Build constructs the world for the SNI set in three passes. plan makes
+// every rng draw and lists each certificate to mint and each server to
+// build; mint signs the certificates across cfg.Workers; assemble builds
+// the chains, logs to CT and adds the servers, in plan order. Minting
+// draws nothing from the rng, so the world does not depend on the worker
+// count.
 func Build(cfg Config) *World {
 	if cfg.ProbeTime.IsZero() {
 		cfg.ProbeTime = time.Date(2022, 4, 15, 0, 0, 0, 0, time.UTC)
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
 	w := &World{
 		Seed:         cfg.Seed,
 		AsOf:         cfg.AsOf,
@@ -269,37 +282,86 @@ func Build(cfg Config) *World {
 		CaptureStart: time.Date(2019, 4, 29, 0, 0, 0, 0, time.UTC),
 		CaptureEnd:   time.Date(2020, 8, 1, 0, 0, 0, 0, time.UTC),
 	}
-	caBirth := time.Date(2008, 1, 1, 0, 0, 0, 0, time.UTC)
+	p := plan(cfg)
+	p.mint(cfg.Workers)
+	w.assemble(p)
+	if cfg.Faults != nil {
+		w.SetFaults(*cfg.Faults)
+	}
+	return w
+}
 
-	// Public trust CAs, rooted in all three programs.
-	for _, spec := range publicCAWeights {
-		ca := pki.NewCA(spec.org, pki.PublicTrustCA, caBirth, 30, 1)
-		w.CAs[spec.org] = ca
-		w.Stores.AddPublicRoot(ca)
-	}
-	// Private CAs (device vendors + Netflix + Nest Labs + UEI).
-	privateOrgs := map[string]bool{}
-	for _, org := range privateCAOf {
-		privateOrgs[org] = true
-	}
-	privateOrgs["Netflix"] = true
-	privateOrgs["Nest Labs"] = true
-	privateOrgs["Universal Electronics"] = true
-	for org := range privateOrgs {
-		w.CAs[org] = pki.NewCA(org, pki.PrivateCA, caBirth, 100, 1)
-	}
-	// Netflix also operates a public-rooted intermediate for its
-	// short-lived leaves: "Netflix Public SHA2 RSA CA 3" chaining to the
-	// VeriSign public root (Table 9).
-	netflixPub := pki.NewSubCA("Netflix", pki.PrivateCA, w.CAs["VeriSign"], caBirth, 25)
-	w.CAs["Netflix-public-chain"] = netflixPub
+// caMint is one CA the world mints: a root with one intermediate, or,
+// with a parent, an intermediate chaining to the parent's root.
+type caMint struct {
+	name   string // key in World.CAs
+	org    string
+	kind   pki.CAKind
+	years  int
+	parent *caMint
+	ca     *pki.CA       // set by mint
+	done   chan struct{} // closed once ca is set
+}
 
-	w.Validator = pki.NewValidator(w.Stores)
-	for org, ca := range w.CAs {
-		if ca.Kind == pki.PublicTrustCA || org == "Netflix-public-chain" {
-			w.Validator.AddKnownCA(ca)
-		}
+func (c *caMint) mint() {
+	if c.parent == nil {
+		c.ca = pki.NewCA(c.org, c.kind, caBirth, c.years, 1)
+	} else {
+		<-c.parent.done
+		c.ca = pki.NewSubCA(c.org, c.kind, c.parent.ca, caBirth, c.years)
 	}
+	close(c.done)
+}
+
+// leafMint is one leaf certificate the world mints.
+type leafMint struct {
+	ca         *caMint
+	spec       pki.LeafSpec
+	selfSigned bool
+	cert       pki.Certificate // set by mint
+}
+
+func (l *leafMint) mint() {
+	<-l.ca.done
+	if l.selfSigned {
+		l.cert = l.ca.ca.IssueSelfSignedLeaf(l.spec)
+	} else {
+		l.cert = l.ca.ca.IssueLeaf(l.spec)
+	}
+}
+
+// certGroup is the FQDNs of one SLD that present one leaf (wildcard/SAN
+// sharing), with what their servers share.
+type certGroup struct {
+	sld, owner, issuerOrg string
+	fqdns                 []string
+	leaf                  *leafMint
+	style                 pki.ChainStyle
+	ips                   []string
+	inCT                  bool
+	// alts holds the leaves a CDN FQDN presents at Vantages()[1:].
+	alts map[string][]*leafMint
+	// mismatch marks the tuyaus.com host whose leaf names neither its
+	// CN nor a SAN; it is never unreachable.
+	mismatch bool
+}
+
+// worldPlan is what Build mints and assembles. cas and leaves are in
+// mint order, groups in assembly order.
+type worldPlan struct {
+	cas    []*caMint
+	byName map[string]*caMint
+	leaves []*leafMint
+	groups []*certGroup
+}
+
+// plan makes every rng draw of the world in a fixed order: per SLD in
+// sorted order, the Tuya mismatch host's validity, NotBefore and IPs,
+// then per certificate group its size, validity, the Netflix coin,
+// NotBefore and IPs.
+func plan(cfg Config) *worldPlan {
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	p := planCAs()
 
 	// Vendor ownership of SLDs.
 	ownerOf := map[string]string{}
@@ -326,17 +388,13 @@ func Build(cfg Config) *World {
 		snis := bySLD[sld]
 		sort.Strings(snis)
 		owner := ownerOf[sld]
-		issuerOrg := w.issuerForSLD(sld, owner, vendorOf, rng)
-		w.buildSLDServers(sld, snis, owner, issuerOrg, rng)
+		p.planSLD(sld, snis, owner, issuerForSLD(sld, owner, vendorOf), cfg.ProbeTime, rng)
 	}
-	if cfg.Faults != nil {
-		w.SetFaults(*cfg.Faults)
-	}
-	return w
+	return p
 }
 
 // issuerForSLD picks the leaf issuer organization for a domain.
-func (w *World) issuerForSLD(sld, owner string, vendors map[string]dataset.VendorProfile, rng *rand.Rand) string {
+func issuerForSLD(sld, owner string, vendors map[string]dataset.VendorProfile) string {
 	if org, ok := sldCAOverrides[sld]; ok {
 		return org
 	}
@@ -368,12 +426,50 @@ func (w *World) issuerForSLD(sld, owner string, vendors map[string]dataset.Vendo
 	return "DigiCert"
 }
 
-// buildSLDServers mints cert groups and server entries for one SLD.
-func (w *World) buildSLDServers(sld string, snis []string, owner, issuerOrg string, rng *rand.Rand) {
-	ca := w.CAs[issuerOrg]
+// planCAs lists the CAs in mint order: the public trust CAs in
+// publicCAWeights order, the private CAs (device vendors + Netflix + Nest
+// Labs + UEI) by name, then Netflix's public-rooted sub-CA.
+func planCAs() *worldPlan {
+	p := &worldPlan{byName: map[string]*caMint{}}
+	add := func(name, org string, kind pki.CAKind, years int, parent *caMint) {
+		c := &caMint{name: name, org: org, kind: kind, years: years, parent: parent, done: make(chan struct{})}
+		p.cas = append(p.cas, c)
+		p.byName[name] = c
+	}
+	for _, spec := range publicCAWeights {
+		add(spec.org, spec.org, pki.PublicTrustCA, 30, nil)
+	}
+	privateOrgs := map[string]bool{"Netflix": true, "Nest Labs": true, "Universal Electronics": true}
+	for _, org := range privateCAOf {
+		privateOrgs[org] = true
+	}
+	private := make([]string, 0, len(privateOrgs))
+	for org := range privateOrgs {
+		private = append(private, org)
+	}
+	sort.Strings(private)
+	for _, org := range private {
+		add(org, org, pki.PrivateCA, 100, nil)
+	}
+	// Netflix also operates a public-rooted intermediate for its
+	// short-lived leaves: "Netflix Public SHA2 RSA CA 3" chaining to the
+	// VeriSign public root (Table 9).
+	add("Netflix-public-chain", "Netflix", pki.PrivateCA, 25, p.byName["VeriSign"])
+	return p
+}
+
+// addLeaf plans one leaf for ca to sign.
+func (p *worldPlan) addLeaf(ca *caMint, spec pki.LeafSpec, selfSigned bool) *leafMint {
+	l := &leafMint{ca: ca, spec: spec, selfSigned: selfSigned}
+	p.leaves = append(p.leaves, l)
+	return l
+}
+
+// planSLD plans the cert groups and servers of one SLD.
+func (p *worldPlan) planSLD(sld string, snis []string, owner, issuerOrg string, probeTime time.Time, rng *rand.Rand) {
+	ca := p.byName[issuerOrg]
 	if ca == nil {
-		ca = w.CAs["DigiCert"]
-		issuerOrg = "DigiCert"
+		ca, issuerOrg = p.byName["DigiCert"], "DigiCert"
 	}
 	// Netflix bimodality: netflix.com/netflix.net FQDNs split between the
 	// self-built 8,150-day chain and 30–396-day public-rooted leaves.
@@ -383,27 +479,18 @@ func (w *World) buildSLDServers(sld string, snis []string, owner, issuerOrg stri
 	// vendor-signed certificate naming neither its CN nor SAN (the
 	// a2.tuyaus.com case of Section 5.3).
 	if sld == "tuyaus.com" && len(snis) > 0 {
-		mismatchHost := snis[0]
-		snis = snis[1:]
-		validity := w.validityFor(issuerOrg, sld, rng)
-		notBefore := w.certNotBefore(sld, validity, rng)
-		leaf := ca.IssueSelfSignedLeaf(pki.LeafSpec{
+		validity := validityFor(issuerOrg, rng)
+		notBefore := certNotBefore(sld, validity, probeTime, rng)
+		g := &certGroup{sld: sld, owner: owner, issuerOrg: issuerOrg, fqdns: snis[:1], style: pki.ChainLeafOnly, mismatch: true}
+		g.leaf = p.addLeaf(ca, pki.LeafSpec{
 			CommonName: "tuya-iot-device",
 			Org:        orgLabel(owner, issuerOrg),
 			NotBefore:  notBefore,
 			NotAfter:   notBefore.AddDate(0, 0, validity),
-		})
-		w.Servers[mismatchHost] = &Server{
-			FQDN:        mismatchHost,
-			SLD:         sld,
-			OwnerVendor: owner,
-			IssuerOrg:   issuerOrg,
-			IssuerKind:  ca.Kind,
-			Leaf:        leaf,
-			Chain:       ca.BuildChain(leaf, pki.ChainLeafOnly),
-			IPs:         w.ipsFor(mismatchHost, rng),
-			Stack:       stackForAsOf(w.Seed, owner, sld, w.AsOf),
-		}
+		}, true)
+		g.ips = ipsFor(snis[0], rng)
+		p.groups = append(p.groups, g)
+		snis = snis[1:]
 	}
 
 	// Carve the FQDNs into certificate groups (wildcard/SAN sharing).
@@ -416,15 +503,15 @@ func (w *World) buildSLDServers(sld string, snis []string, owner, issuerOrg stri
 		start += groupSize
 
 		groupCA := ca
-		validity := w.validityFor(issuerOrg, sld, rng)
+		validity := validityFor(issuerOrg, rng)
 		netflixPublicChain := false
 		if isNetflix && rng.Intn(2) == 0 {
-			groupCA = w.CAs["Netflix-public-chain"]
+			groupCA = p.byName["Netflix-public-chain"]
 			validity = []int{30, 31, 32, 33, 34, 36, 396}[rng.Intn(7)]
 			netflixPublicChain = true
 		}
 
-		notBefore := w.certNotBefore(sld, validity, rng)
+		notBefore := certNotBefore(sld, validity, probeTime, rng)
 		spec := pki.LeafSpec{
 			CommonName: group[0],
 			DNSNames:   append([]string(nil), group...),
@@ -439,58 +526,118 @@ func (w *World) buildSLDServers(sld string, snis []string, owner, issuerOrg stri
 			spec.DNSNames = nil
 		}
 
-		style, selfSigned := w.chainStyleFor(groupCA, sld, rng)
+		style, selfSigned := chainStyleFor(groupCA.kind, sld)
 		if netflixPublicChain {
 			// Short-lived Netflix leaves present a valid chain to the
 			// trusted public root (Table 9).
 			style, selfSigned = pki.ChainNoRoot, false
 		}
-		var leaf pki.Certificate
-		if selfSigned {
-			leaf = groupCA.IssueSelfSignedLeaf(spec)
-		} else {
-			leaf = groupCA.IssueLeaf(spec)
-		}
-		chain := groupCA.BuildChain(leaf, style)
-
+		g := &certGroup{sld: sld, owner: owner, issuerOrg: issuerOrg, fqdns: group, style: style}
+		g.leaf = p.addLeaf(groupCA, spec, selfSigned)
 		// CT submission: public CAs log (with 8 deterministic misses
 		// across the world); private CAs never do, and neither do the
-		// Netflix public-chain leaves (Section 5.4).
-		inCT := false
-		if groupCA.Kind == pki.PublicTrustCA && !netflixPublicChain && issuerOrg != "Netflix" {
-			if !w.ctSkip(issuerOrg, group[0]) {
-				w.Log.Submit(leaf.Cert)
-				inCT = true
+		// Netflix public-chain leaves, whose sub-CA is private (Section
+		// 5.4).
+		g.inCT = groupCA.kind == pki.PublicTrustCA && !ctSkip(issuerOrg, group[0])
+		g.ips = ipsFor(group[0], rng)
+		// CDN domains present a distinct certificate per vantage.
+		if cdnSLDs[sld] {
+			g.alts = map[string][]*leafMint{}
+			for _, fqdn := range group {
+				if hashOf("cdn:"+fqdn)%3 == 0 {
+					for range Vantages()[1:] {
+						g.alts[fqdn] = append(g.alts[fqdn], p.addLeaf(groupCA, spec, false))
+					}
+				}
 			}
 		}
+		p.groups = append(p.groups, g)
+	}
+}
 
-		ips := w.ipsFor(group[0], rng)
-		for _, fqdn := range group {
+// mint signs every planned certificate across workers (0 means
+// GOMAXPROCS): the CAs first, in plan order, then the leaves. Workers
+// claim jobs from a shared counter, so at most workers certificates are
+// in flight. A job waits for the CA it signs under; that CA's job comes
+// earlier, so it is already claimed.
+func (p *worldPlan) mint(workers int) {
+	n := len(p.cas) + len(p.leaves)
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
+				if i < len(p.cas) {
+					p.cas[i].mint()
+				} else {
+					p.leaves[i-len(p.cas)].mint()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// assemble registers the minted CAs, then builds each group's chains,
+// logs them to CT and adds its servers in plan order, so log indices and
+// tree heads follow the plan.
+func (w *World) assemble(p *worldPlan) {
+	for _, c := range p.cas {
+		w.CAs[c.name] = c.ca
+		if c.kind == pki.PublicTrustCA {
+			// Public trust CAs are rooted in all three programs.
+			w.Stores.AddPublicRoot(c.ca)
+		}
+	}
+	// Public intermediates, the Netflix one included, are known out of
+	// band; they are registered in sorted name order.
+	w.Validator = pki.NewValidator(w.Stores)
+	names := make([]string, 0, len(w.CAs))
+	for name := range w.CAs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		if ca := w.CAs[name]; ca.Kind == pki.PublicTrustCA || name == "Netflix-public-chain" {
+			w.Validator.AddKnownCA(ca)
+		}
+	}
+
+	for _, g := range p.groups {
+		ca, leaf := g.leaf.ca.ca, g.leaf.cert
+		chain := ca.BuildChain(leaf, g.style)
+		if g.inCT {
+			w.Log.Submit(leaf.Cert)
+		}
+		stack := stackForAsOf(w.Seed, g.owner, g.sld, w.AsOf)
+		for _, fqdn := range g.fqdns {
 			srv := &Server{
 				FQDN:        fqdn,
-				SLD:         sld,
-				OwnerVendor: owner,
-				IssuerOrg:   issuerOrg,
-				IssuerKind:  groupCA.Kind,
+				SLD:         g.sld,
+				OwnerVendor: g.owner,
+				IssuerOrg:   g.issuerOrg,
+				IssuerKind:  ca.Kind, // the Netflix sub-CA is private too
 				Leaf:        leaf,
 				Chain:       chain,
-				IPs:         ips,
-				Unreachable: hashOf("reach:"+fqdn)%28 == 0, // ~3.6%
-				InCT:        inCT,
-				Stack:       stackForAsOf(w.Seed, owner, sld, w.AsOf),
+				IPs:         g.ips,
+				Unreachable: !g.mismatch && hashOf("reach:"+fqdn)%28 == 0, // ~3.6%
+				InCT:        g.inCT,
+				Stack:       stack,
 			}
-			if netflixPublicChain {
-				srv.IssuerKind = pki.PrivateCA // leaf issuer is Netflix itself
-			}
-			// CDN domains present a distinct certificate per vantage.
-			if cdnSLDs[sld] && hashOf("cdn:"+fqdn)%3 == 0 {
+			if alts := g.alts[fqdn]; alts != nil {
 				srv.VantageChains = map[Vantage]pki.Chain{}
 				srv.VantageLeaves = map[Vantage]pki.Certificate{}
-				for _, v := range Vantages()[1:] {
-					alt := groupCA.IssueLeaf(spec)
-					srv.VantageChains[v] = groupCA.BuildChain(alt, style)
+				for i, v := range Vantages()[1:] {
+					alt := alts[i].cert
+					srv.VantageChains[v] = ca.BuildChain(alt, g.style)
 					srv.VantageLeaves[v] = alt
-					if groupCA.Kind == pki.PublicTrustCA {
+					if ca.Kind == pki.PublicTrustCA {
 						w.Log.Submit(alt.Cert)
 					}
 				}
@@ -501,7 +648,7 @@ func (w *World) buildSLDServers(sld string, snis []string, owner, issuerOrg stri
 }
 
 // validityFor picks the leaf validity period in days.
-func (w *World) validityFor(issuerOrg, sld string, rng *rand.Rand) int {
+func validityFor(issuerOrg string, rng *rand.Rand) int {
 	if days, ok := privateValidityDays[issuerOrg]; ok {
 		// Samsung and Nintendo have two tiers in footnote 6.
 		switch issuerOrg {
@@ -526,19 +673,20 @@ func (w *World) validityFor(issuerOrg, sld string, rng *rand.Rand) int {
 
 // certNotBefore places the validity window: expired domains anchor on
 // their Table 8 dates; everything else is issued before the probe.
-func (w *World) certNotBefore(sld string, validityDays int, rng *rand.Rand) time.Time {
+func certNotBefore(sld string, validityDays int, probeTime time.Time, rng *rand.Rand) time.Time {
 	if expiry, ok := expiredSLDs[sld]; ok {
 		return expiry.AddDate(0, 0, -validityDays)
 	}
 	// Issue 10–60% of the validity period before the probe time.
 	frac := 0.1 + 0.5*rng.Float64()
 	back := time.Duration(float64(validityDays) * frac * 24 * float64(time.Hour))
-	return w.ProbeTime.Add(-back)
+	return probeTime.Add(-back)
 }
 
-// chainStyleFor picks how the server presents its chain.
-func (w *World) chainStyleFor(ca *pki.CA, sld string, rng *rand.Rand) (pki.ChainStyle, bool) {
-	if ca.Kind == pki.PublicTrustCA {
+// chainStyleFor picks how a server whose leaf a CA of the given kind
+// signs presents its chain, and whether that leaf is self-signed.
+func chainStyleFor(kind pki.CAKind, sld string) (pki.ChainStyle, bool) {
+	if kind == pki.PublicTrustCA {
 		// Most public-CA servers send leaf+intermediate; a few send only
 		// the leaf (incomplete chain).
 		if hashOf("style:"+sld)%12 == 0 {
@@ -567,7 +715,7 @@ func (w *World) chainStyleFor(ca *pki.CA, sld string, rng *rand.Rand) (pki.Chain
 
 // ctSkip marks the 8 public-CA certificates that never appear in CT
 // (4 Microsoft, 2 Apple, 1 Sectigo, 1 DigiCert).
-func (w *World) ctSkip(issuerOrg, firstFQDN string) bool {
+func ctSkip(issuerOrg, firstFQDN string) bool {
 	switch issuerOrg {
 	case "Microsoft Corporation":
 		return hashOf("ctskip:"+firstFQDN)%3 == 0
@@ -582,7 +730,7 @@ func (w *World) ctSkip(issuerOrg, firstFQDN string) bool {
 
 // ipsFor assigns server IPs (64.96% of certs span multiple IPs; CDN certs
 // span many).
-func (w *World) ipsFor(fqdn string, rng *rand.Rand) []string {
+func ipsFor(fqdn string, rng *rand.Rand) []string {
 	n := 1
 	switch r := rng.Float64(); {
 	case r < 0.35:

@@ -3,9 +3,16 @@ package simnet
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"crypto/x509"
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/pki"
@@ -58,6 +65,215 @@ func TestWorldDeterminism(t *testing.T) {
 			t.Fatalf("%s: nondeterministic validity", sni)
 		}
 	}
+}
+
+// paperSNIs is the SNI set a default paper-scale study at seed 20231024
+// probes; that study builds its world with seed 20231025.
+func paperSNIs() []string {
+	return dataset.Generate(dataset.Config{Seed: 20231024, Scale: 1}).SNIsByMinUsers(3)
+}
+
+// TestBuildWorkersInvariant builds the paper-scale world of seed
+// 20231024, in the paper era and as of 2025-08-01, at several worker
+// counts. Each world's key-independent digest is the same at every
+// count and equals the pinned one, which the single-goroutine Build that
+// preceded the mint pool also gave; every leaf carries the spec its plan
+// gave it and names the key of the CA signer its plan chose; and every
+// adjacent pair of every presented chain verifies.
+func TestBuildWorkersInvariant(t *testing.T) {
+	snis := paperSNIs()
+	cases := []struct {
+		name   string
+		asOf   time.Time
+		digest string
+	}{
+		{"paper", time.Time{}, "738c9ee17fb3b009f6e5cdacfb0241ea672c452bfb5dff5c9c12a79c22f6b89b"},
+		{"asof=2025-08-01", time.Date(2025, 8, 1, 0, 0, 0, 0, time.UTC), "50932b468b48259c9b28318539df981405bf085ef40042995ba3b88ea4272aee"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// The default probe time, set so the reference plan sees it.
+			cfg := Config{Seed: 20231025, SNIs: snis, AsOf: c.asOf, ProbeTime: time.Date(2022, 4, 15, 0, 0, 0, 0, time.UTC)}
+			ref := plan(cfg)
+			counts := []int{1, 2, 4}
+			if n := runtime.GOMAXPROCS(0); !slices.Contains(counts, n) {
+				counts = append(counts, n)
+			}
+			first := ""
+			for _, workers := range counts {
+				cfg.Workers = workers
+				w := Build(cfg)
+				got := worldDigest(t, w)
+				switch {
+				case first == "" && got != c.digest:
+					t.Errorf("workers=%d: world digest %s, pinned %s; update the pin only if the world was meant to change", workers, got, c.digest)
+				case first != "" && got != first:
+					t.Errorf("workers=%d: world digest %s, workers=1 gave %s", workers, got, first)
+				}
+				if first == "" {
+					first = got
+				}
+				checkPlannedLeaves(t, w, ref)
+				checkChainSignatures(t, w)
+			}
+		})
+	}
+}
+
+// worldDigest hashes what a world shows apart from its keys, serials and
+// signatures, which differ on every build: per FQDN in sorted order, the
+// issuer org and kind, the leaf's CN, O, SANs and validity, the subject
+// and issuer of each certificate of the default and each vantage chain,
+// the IPs, reachability, CT flag and stack; then the CT log's entries in
+// log order.
+func worldDigest(t *testing.T, w *World) string {
+	t.Helper()
+	h := sha256.New()
+	logged := make([]*x509.Certificate, w.Log.Size())
+	note := func(cert *x509.Certificate) {
+		if idx, _, err := w.Log.InclusionProofForCert(cert); err == nil {
+			logged[idx] = cert
+		}
+	}
+	writeChain := func(c pki.Chain) {
+		for _, cert := range c.Certs {
+			fmt.Fprintf(h, "[%s <- %s]", cert.Subject, cert.Issuer)
+		}
+	}
+	for _, fqdn := range sortedFQDNs(w) {
+		s := w.Servers[fqdn]
+		leaf := s.Leaf.Cert
+		fmt.Fprintf(h, "%s|%s|%v|%s|%q|%q|%s|%s|", fqdn, s.IssuerOrg, s.IssuerKind,
+			leaf.Subject.CommonName, leaf.Subject.Organization, leaf.DNSNames,
+			leaf.NotBefore.UTC().Format(time.RFC3339), leaf.NotAfter.UTC().Format(time.RFC3339))
+		writeChain(s.Chain)
+		note(leaf)
+		for _, v := range Vantages() {
+			if c, ok := s.VantageChains[v]; ok {
+				fmt.Fprintf(h, "|%s:", v)
+				writeChain(c)
+				note(c.Leaf())
+			}
+		}
+		fmt.Fprintf(h, "|%q|%v|%v|%s\n", s.IPs, s.Unreachable, s.InCT, s.Stack.Name)
+	}
+	for i, cert := range logged {
+		if cert == nil {
+			t.Fatalf("CT log entry %d is no server's certificate", i)
+		}
+		fmt.Fprintf(h, "ct %d %s <- %s %q %s %s\n", i, cert.Subject, cert.Issuer, cert.DNSNames,
+			cert.NotBefore.UTC().Format(time.RFC3339), cert.NotAfter.UTC().Format(time.RFC3339))
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// checkPlannedLeaves checks every leaf w presents against the plan: it
+// has the planned CN, O, SANs and validity, and a CA-signed leaf's
+// AuthorityKeyId is the SubjectKeyId of its planned CA's signer (a
+// self-signed leaf verifies under its own key instead).
+func checkPlannedLeaves(t *testing.T, w *World, p *worldPlan) {
+	t.Helper()
+	servers := 0
+	for _, g := range p.groups {
+		for _, fqdn := range g.fqdns {
+			servers++
+			srv := w.Servers[fqdn]
+			if srv == nil {
+				t.Errorf("%s: planned but not built", fqdn)
+				continue
+			}
+			checkPlannedLeaf(t, w, fqdn, srv.Leaf.Cert, g.leaf)
+			alts := g.alts[fqdn]
+			if len(srv.VantageLeaves) != len(alts) {
+				t.Errorf("%s: %d vantage leaves, planned %d", fqdn, len(srv.VantageLeaves), len(alts))
+				continue
+			}
+			for i, alt := range alts {
+				v := Vantages()[i+1]
+				checkPlannedLeaf(t, w, fmt.Sprintf("%s@%s", fqdn, v), srv.VantageLeaves[v].Cert, alt)
+			}
+		}
+	}
+	if servers != len(w.Servers) {
+		t.Errorf("world has %d servers, plan %d", len(w.Servers), servers)
+	}
+}
+
+func checkPlannedLeaf(t *testing.T, w *World, where string, leaf *x509.Certificate, want *leafMint) {
+	t.Helper()
+	s := want.spec
+	if leaf.Subject.CommonName != s.CommonName || !slices.Equal(leaf.Subject.Organization, []string{s.Org}) ||
+		!slices.Equal(leaf.DNSNames, s.DNSNames) ||
+		!leaf.NotBefore.Equal(s.NotBefore.Truncate(time.Second)) || !leaf.NotAfter.Equal(s.NotAfter.Truncate(time.Second)) {
+		t.Errorf("%s: leaf %q %q %v %v..%v, planned %q %q %v %v..%v", where,
+			leaf.Subject.CommonName, leaf.Subject.Organization, leaf.DNSNames, leaf.NotBefore, leaf.NotAfter,
+			s.CommonName, s.Org, s.DNSNames, s.NotBefore, s.NotAfter)
+	}
+	if want.selfSigned {
+		if err := leaf.CheckSignature(leaf.SignatureAlgorithm, leaf.RawTBSCertificate, leaf.Signature); err != nil {
+			t.Errorf("%s: planned self-signed, but the leaf does not verify under its own key: %v", where, err)
+		}
+		return
+	}
+	ca := w.CAs[want.ca.name]
+	if ca == nil {
+		t.Fatalf("%s: planned CA %q is not in the world", where, want.ca.name)
+	}
+	signer := ca.Root.Cert
+	if len(ca.Intermediates) > 0 {
+		signer = ca.Intermediates[0].Cert
+	}
+	if len(signer.SubjectKeyId) == 0 || !bytes.Equal(leaf.AuthorityKeyId, signer.SubjectKeyId) {
+		t.Errorf("%s: leaf AuthorityKeyId %x, planned signer %q has SubjectKeyId %x",
+			where, leaf.AuthorityKeyId, signer.Subject, signer.SubjectKeyId)
+	}
+}
+
+// checkChainSignatures verifies every adjacent pair of every chain w
+// presents: each certificate is signed by the next one. CheckSignatureFrom
+// takes only CA parents, so the duplicated self-signed leaf of the
+// samsunghrm.com chain is checked against its own key.
+func checkChainSignatures(t *testing.T, w *World) {
+	t.Helper()
+	checked := map[[2]*x509.Certificate]bool{}
+	for _, fqdn := range sortedFQDNs(w) {
+		srv := w.Servers[fqdn]
+		chains := []pki.Chain{srv.Chain}
+		for _, v := range Vantages() {
+			if c, ok := srv.VantageChains[v]; ok {
+				chains = append(chains, c)
+			}
+		}
+		for _, c := range chains {
+			for i := 0; i+1 < len(c.Certs); i++ {
+				child, parent := c.Certs[i], c.Certs[i+1]
+				pair := [2]*x509.Certificate{child, parent}
+				if checked[pair] {
+					continue
+				}
+				checked[pair] = true
+				var err error
+				if parent.IsCA || !bytes.Equal(child.Raw, parent.Raw) {
+					err = child.CheckSignatureFrom(parent)
+				} else {
+					err = parent.CheckSignature(child.SignatureAlgorithm, child.RawTBSCertificate, child.Signature)
+				}
+				if err != nil {
+					t.Errorf("%s: %q does not verify under %q: %v", fqdn, child.Subject, parent.Subject, err)
+				}
+			}
+		}
+	}
+}
+
+// sortedFQDNs lists w's servers in sorted order.
+func sortedFQDNs(w *World) []string {
+	fqdns := make([]string, 0, len(w.Servers))
+	for fqdn := range w.Servers {
+		fqdns = append(fqdns, fqdn)
+	}
+	sort.Strings(fqdns)
+	return fqdns
 }
 
 func TestVendorPrivateCAs(t *testing.T) {
@@ -295,11 +511,35 @@ func BenchmarkRealProbe(b *testing.B) {
 	}
 }
 
+// benchWorld keeps the benchmarked world reachable.
+var benchWorld *World
+
+// BenchmarkBuildWorld builds a scale-0.1 world, and the paper-scale
+// world of seed 20231024 on one worker and on GOMAXPROCS (skipped under
+// -short).
 func BenchmarkBuildWorld(b *testing.B) {
-	ds := dataset.Generate(dataset.Config{Seed: 99, Scale: 0.1})
-	snis := ds.SNIsByMinUsers(2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Build(Config{Seed: 1, SNIs: snis})
+	b.Run("scale=0.1", func(b *testing.B) {
+		ds := dataset.Generate(dataset.Config{Seed: 99, Scale: 0.1})
+		snis := ds.SNIsByMinUsers(2)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			benchWorld = Build(Config{Seed: 1, SNIs: snis})
+		}
+	})
+	for _, c := range []struct {
+		name    string
+		workers int
+	}{{"workers=1", 1}, {"workers=max", 0}} {
+		b.Run("scale=1/"+c.name, func(b *testing.B) {
+			if testing.Short() {
+				b.Skip("paper-scale world builds are skipped under -short")
+			}
+			snis := paperSNIs()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchWorld = Build(Config{Seed: 20231025, SNIs: snis, Workers: c.workers})
+			}
+		})
 	}
 }
