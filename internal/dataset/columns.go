@@ -144,33 +144,6 @@ func (c *columns) reserve(n int) {
 	c.rawLen = slices.Grow(c.rawLen, n)
 }
 
-// swap exchanges two records across every column. Raw spans are
-// addressed (offset, length) per record — independent arrays, not
-// prefix-encoded — precisely so records stay swappable after the
-// buffer is laid down in generation order.
-func (c *columns) swap(i, j int) {
-	c.device[i], c.device[j] = c.device[j], c.device[i]
-	c.vendor[i], c.vendor[j] = c.vendor[j], c.vendor[i]
-	c.model[i], c.model[j] = c.model[j], c.model[i]
-	c.typ[i], c.typ[j] = c.typ[j], c.typ[i]
-	c.user[i], c.user[j] = c.user[j], c.user[i]
-	c.sni[i], c.sni[j] = c.sni[j], c.sni[i]
-	c.stack[i], c.stack[j] = c.stack[j], c.stack[i]
-	c.timeNS[i], c.timeNS[j] = c.timeNS[j], c.timeNS[i]
-	c.rawOff[i], c.rawOff[j] = c.rawOff[j], c.rawOff[i]
-	c.rawLen[i], c.rawLen[j] = c.rawLen[j], c.rawLen[i]
-}
-
-// byTime sorts the columns by observation time, mirroring the order the
-// row-based generator produced (sort.Sort and sort.Slice share one
-// sorting algorithm, so the permutation — and therefore the report
-// bytes — is unchanged for identical key comparisons).
-type byTime struct{ c *columns }
-
-func (s byTime) Len() int           { return s.c.len() }
-func (s byTime) Less(i, j int) bool { return s.c.timeNS[i] < s.c.timeNS[j] }
-func (s byTime) Swap(i, j int)      { s.c.swap(i, j) }
-
 // Records is a read-only view over a contiguous range of columnar
 // records. The zero value is an empty view. Copying a Records copies
 // three words; Slice re-slices without touching the data.
@@ -329,26 +302,46 @@ func (ds *Dataset) SNIs() []string {
 }
 
 // SNIsByMinUsers returns SNIs observed from at least minUsers distinct
-// users (the paper filtered SNIs seen from <= 2 users).
+// users (the paper filtered SNIs seen from <= 2 users). Symbols are
+// dense, so it counts with arrays indexed by symbol, linear in the
+// records and the table: a counting sort buckets each record's user by
+// SNI, then a bucket's distinct users are those whose last-seen mark
+// is not yet this SNI.
 func (ds *Dataset) SNIsByMinUsers(minUsers int) []string {
-	type sniUser struct{ sni, user intern.Symbol }
-	seen := map[sniUser]bool{}
-	count := map[intern.Symbol]int{}
-	for i := 0; i < ds.Records.Len(); i++ {
-		sym := ds.Records.SNISym(i)
-		if sym == 0 {
-			continue
-		}
-		su := sniUser{sym, ds.Records.UserSym(i)}
-		if !seen[su] {
-			seen[su] = true
-			count[sym]++
+	recs := ds.Records
+	if recs.Len() == 0 {
+		return nil
+	}
+	tab := recs.Table()
+	nSyms := tab.Len()
+	start := make([]int32, nSyms+1)
+	for i := 0; i < recs.Len(); i++ {
+		if sym := recs.SNISym(i); sym != 0 {
+			start[sym+1]++
 		}
 	}
-	tab := ds.Records.Table()
+	for s := 1; s <= nSyms; s++ {
+		start[s] += start[s-1]
+	}
+	fill := append([]int32(nil), start[:nSyms]...)
+	users := make([]intern.Symbol, start[nSyms])
+	for i := 0; i < recs.Len(); i++ {
+		if sym := recs.SNISym(i); sym != 0 {
+			users[fill[sym]] = recs.UserSym(i)
+			fill[sym]++
+		}
+	}
+	mark := make([]intern.Symbol, nSyms)
 	var out []string
-	for sym, n := range count {
-		if n >= minUsers {
+	for s := 1; s < nSyms; s++ {
+		sym, distinct := intern.Symbol(s), 0
+		for _, u := range users[start[s]:start[s+1]] {
+			if mark[u] != sym {
+				mark[u] = sym
+				distinct++
+			}
+		}
+		if distinct > 0 && distinct >= minUsers {
 			out = append(out, tab.Str(sym))
 		}
 	}

@@ -2,6 +2,8 @@ package dataset
 
 import (
 	"bytes"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/intern"
@@ -68,5 +70,53 @@ func TestStorageOrder(t *testing.T) {
 	}
 	if order := (Records{}).StorageOrder(); len(order) != 0 {
 		t.Fatalf("zero view's order = %v", order)
+	}
+}
+
+// snisByMinUsersMap is the map-based SNI filter SNIsByMinUsers replaced:
+// one set entry per distinct (SNI, user) pair, one count per SNI.
+func snisByMinUsersMap(ds *Dataset, minUsers int) []string {
+	type sniUser struct{ sni, user intern.Symbol }
+	seen := map[sniUser]bool{}
+	count := map[intern.Symbol]int{}
+	for i := 0; i < ds.Records.Len(); i++ {
+		sym := ds.Records.SNISym(i)
+		if sym == 0 {
+			continue
+		}
+		su := sniUser{sym, ds.Records.UserSym(i)}
+		if !seen[su] {
+			seen[su] = true
+			count[sym]++
+		}
+	}
+	var out []string
+	for sym, n := range count {
+		if n >= minUsers {
+			out = append(out, ds.Records.Table().Str(sym))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestSNIsByMinUsersMatchesMapReference checks the dense SNI filter
+// against the map-based reference at three seeds and three thresholds,
+// on a whole dataset and on a dataset whose records are a subview.
+func TestSNIsByMinUsersMatchesMapReference(t *testing.T) {
+	for _, seed := range []int64{1, 4242, 20231024} {
+		ds := Generate(Config{Seed: seed, Scale: 1})
+		half := &Dataset{Records: ds.Records.Slice(ds.Records.Len()/4, ds.Records.Len()/2)}
+		for _, minUsers := range []int{1, 3, 5} {
+			for name, d := range map[string]*Dataset{"all": ds, "subview": half} {
+				got, want := d.SNIsByMinUsers(minUsers), snisByMinUsersMap(d, minUsers)
+				if !slices.Equal(got, want) {
+					t.Errorf("seed %d, min-users %d, %s: %d SNIs, reference %d", seed, minUsers, name, len(got), len(want))
+				}
+				if len(want) == 0 {
+					t.Errorf("seed %d, min-users %d, %s: reference kept no SNI", seed, minUsers, name)
+				}
+			}
+		}
 	}
 }

@@ -21,7 +21,7 @@ package dataset
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -245,8 +245,13 @@ func Generate(cfg Config) *Dataset {
 	startNS := cfg.Start.UnixNano()
 	cols := newColumns()
 	tab := cols.tab
-	helloTmpl := map[tmplKey][]byte{}
-	var helloCacheHits, helloCacheMisses int64
+	stamper := newHelloStamper(cols)
+	// The plan interns nothing per record: every identity string it
+	// draws comes from a symPool or a Stack, which intern a string at
+	// its first use, the first Intern call a per-record lookup would
+	// make, so the table numbers every string in the same order.
+	users := symPool{strs: make([]string, numUsers), syms: make([]intern.Symbol, numUsers)}
+	generic := newSymPool(genericPool)
 	deviceSeq := 0
 	for _, v := range vendors {
 		count := int(float64(v.Weight)*cfg.Scale + 0.5)
@@ -281,7 +286,7 @@ func Generate(cfg Config) *Dataset {
 				})
 			}
 		}
-		models := modelNames(v)
+		models := newSymPool(modelNames(v))
 		uniqueRate := 0.0
 		switch {
 		case v.Weight >= 60:
@@ -290,16 +295,28 @@ func Generate(cfg Config) *Dataset {
 			uniqueRate = 0.15
 		}
 		exactLeft := v.ExactLibDevices
+		var venSym intern.Symbol
+		types := newSymPool(v.Types)
+		vendorPool := newSymPool(ds.VendorFQDNs[v.Name])
+		// SSL3 stragglers' hellos come from a vendor-wide stack no device
+		// lists.
+		ssl3Stack := &Stack{ID: "ssl3:" + v.Name, Print: ssl3Print()}
 
 		for d := 0; d < count; d++ {
 			deviceSeq++
-			typ := v.Types[rng.Intn(len(v.Types))]
+			typIdx := rng.Intn(len(v.Types))
+			typ := v.Types[typIdx]
+			modIdx := rng.Intn(len(models.strs))
+			userIdx := rng.Intn(numUsers)
+			if users.strs[userIdx] == "" {
+				users.strs[userIdx] = fmt.Sprintf("user-%04d", userIdx)
+			}
 			dev := &Device{
-				ID:     fmt.Sprintf("dev-%05d", deviceSeq),
+				ID:     deviceID(deviceSeq),
 				Vendor: v.Name,
-				Model:  models[rng.Intn(len(models))],
+				Model:  models.strs[modIdx],
 				Type:   typ,
-				User:   fmt.Sprintf("user-%04d", rng.Intn(numUsers)),
+				User:   users.strs[userIdx],
 			}
 			// Core stack (by firmware version); boutique vendors mint a
 			// one-off mutation per device instead.
@@ -384,17 +401,15 @@ func Generate(cfg Config) *Dataset {
 				dev.Stacks = wrapped
 			}
 			ds.Devices = append(ds.Devices, dev)
-			devSym := tab.Intern(dev.ID)
-			venSym := tab.Intern(dev.Vendor)
-			modSym := tab.Intern(dev.Model)
-			typSym := tab.Intern(dev.Type)
-			userSym := tab.Intern(dev.User)
+			row := planRow{device: tab.Intern(dev.ID)}
+			if venSym == 0 {
+				venSym = tab.Intern(v.Name)
+			}
+			row.vendor = venSym
+			row.model = models.sym(tab, modIdx)
+			row.typ = types.sym(tab, typIdx)
+			row.user = users.sym(tab, userIdx)
 
-			// Emit ClientHello records straight into the columns: the
-			// hello template for (stack, SNI) is appended to the shared
-			// buffer and only the 32-byte client random is stamped in
-			// place, so a record costs zero per-record heap allocations
-			// on the warm path.
 			nRec := 3 + rng.Intn(6)
 			ssl3Budget := 0
 			if d < v.SSL3Devices {
@@ -402,94 +417,84 @@ func Generate(cfg Config) *Dataset {
 			}
 			for rIdx := 0; rIdx < nRec; rIdx++ {
 				stack := dev.Stacks[rng.Intn(len(dev.Stacks))]
-				print := stack.Print
-				stackID := stack.ID
-				var sni string
+				var snis symPool
 				if len(stack.SNIs) > 0 {
-					sni = stack.SNIs[zipfIndex(rng, len(stack.SNIs))]
+					snis = stack.sniPool()
 				} else if v.OnlyPrivateCA || rng.Float64() < 0.8 || len(genericPool) == 0 {
 					// OnlyPrivateCA vendors' devices speak exclusively to
 					// the vendor cloud (Canary/Tuya/Obihai, Section 5.2).
-					pool := ds.VendorFQDNs[v.Name]
-					if len(pool) == 0 {
+					if len(vendorPool.strs) == 0 {
 						continue
 					}
-					sni = pool[zipfIndex(rng, len(pool))]
+					snis = vendorPool
 				} else {
-					sni = genericPool[zipfIndex(rng, len(genericPool))]
+					snis = generic
 				}
+				sniIdx := zipfIndex(rng, len(snis.strs))
 				// SSL3 stragglers replace a record with an SSL3 hello
 				// aimed at a vendor server (never an SDK-tied one).
 				if ssl3Budget > 0 && rIdx == nRec-1 {
 					ssl3Budget--
-					print = ssl3Print()
-					stackID = "ssl3:" + v.Name
-					if pool := ds.VendorFQDNs[v.Name]; len(pool) > 0 {
-						sni = pool[zipfIndex(rng, len(pool))]
+					stack = ssl3Stack
+					if len(vendorPool.strs) > 0 {
+						snis = vendorPool
+						sniIdx = zipfIndex(rng, len(snis.strs))
 					}
 				}
-				tsNS := startNS + rng.Int63n(windowSec)*int64(time.Second)
-				stackSym := tab.Intern(stackID)
-				sniSym := tab.Intern(sni)
-				key := tmplKey{stack: stackSym, sni: sniSym}
-				off, n, cached := stampHello(helloTmpl, key, print, sni, cols, rng)
-				if cached {
-					helloCacheHits++
-				} else {
-					helloCacheMisses++
-				}
-				cols.appendSyms(devSym, venSym, modSym, typSym, userSym, sniSym, stackSym, tsNS, off, n)
+				row.timeNS = startNS + rng.Int63n(windowSec)*int64(time.Second)
+				// Intern only now, after the SSL3 substitution: the
+				// record's stack and SNI are the first of their strings
+				// the table may see.
+				row.stack = stack.symbol(tab)
+				row.sni = snis.sym(tab, sniIdx)
+				stamper.add(row, stack, snis.strs[sniIdx], rng)
 			}
 		}
 	}
-	sort.Sort(byTime{cols})
+	stamper.finish()
 	ds.Records = Records{c: cols, hi: cols.len()}
 	ds.applyFirmwareDrift(cfg)
 	if m := cfg.Metrics; m != nil {
 		m.Counter("dataset_devices_total").Add(int64(len(ds.Devices)))
 		m.Counter("dataset_records_total").Add(int64(ds.Records.Len()))
-		m.Counter("dataset_hello_cache_hits_total").Add(helloCacheHits)
-		m.Counter("dataset_hello_cache_misses_total").Add(helloCacheMisses)
+		m.Counter("dataset_hello_cache_hits_total").Add(stamper.hits)
+		m.Counter("dataset_hello_cache_misses_total").Add(stamper.misses)
 	}
 	return ds
+}
+
+// symPool is a string pool with a parallel slice of the strings'
+// symbols, each interned at its first use.
+type symPool struct {
+	strs []string
+	syms []intern.Symbol
+}
+
+func newSymPool(strs []string) symPool {
+	return symPool{strs: strs, syms: make([]intern.Symbol, len(strs))}
+}
+
+// sym returns strs[i]'s symbol, interning it at first use.
+func (p symPool) sym(tab *intern.Table, i int) intern.Symbol {
+	if p.syms[i] == 0 {
+		p.syms[i] = tab.Intern(p.strs[i])
+	}
+	return p.syms[i]
+}
+
+// deviceID formats seq as fmt.Sprintf("dev-%05d", seq) would.
+func deviceID(seq int) string {
+	var buf [24]byte
+	b := append(buf[:0], "dev-"...)
+	for w := 10000; w > 1 && seq < w; w /= 10 {
+		b = append(b, '0')
+	}
+	return string(strconv.AppendInt(b, int64(seq), 10))
 }
 
 // helloRandomOff is where the 32-byte client random sits in a marshaled
 // record: record header (5) + handshake header (4) + legacy version (2).
 const helloRandomOff = 5 + 4 + 2
-
-// tmplKey identifies one hello template by interned (stack, SNI)
-// symbols — a comparable struct, so the cache lookup allocates nothing
-// (the old string key concatenated two strings per record).
-type tmplKey struct {
-	stack, sni intern.Symbol
-}
-
-// stampHello appends the marshaled hello for (stack, SNI) to the raw
-// chunks, serializing the record once per distinct pair and
-// patching only the client random per record. Records sharing a stack
-// and SNI differ in nothing else, so the template bytes are reusable;
-// the rng is consumed exactly as buildHello consumes it (one 32-byte
-// read), keeping generation byte-identical. Returns the span of the
-// stamped record and whether the template came from the cache.
-func stampHello(cache map[tmplKey][]byte, key tmplKey, print fingerprint.Fingerprint, sni string, cols *columns, rng *rand.Rand) (off, n uint32, hit bool) {
-	tmpl, hit := cache[key]
-	if !hit {
-		tmpl = buildHelloTemplate(print, sni)
-		cache[key] = tmpl
-	}
-	off, buf := cols.rawAppend(len(tmpl))
-	copy(buf, tmpl)
-	rng.Read(buf[helloRandomOff : helloRandomOff+32])
-	return off, uint32(len(tmpl)), hit
-}
-
-// buildHello marshals a real ClientHello record for a fingerprint + SNI.
-func buildHello(print fingerprint.Fingerprint, sni string, rng *rand.Rand) []byte {
-	raw := buildHelloTemplate(print, sni)
-	rng.Read(raw[helloRandomOff : helloRandomOff+32])
-	return raw
-}
 
 // buildHelloTemplate marshals the record with a zeroed client random.
 func buildHelloTemplate(print fingerprint.Fingerprint, sni string) []byte {

@@ -416,11 +416,53 @@ func TestScaleDown(t *testing.T) {
 	}
 }
 
-func BenchmarkGeneratePaperScale(b *testing.B) {
-	cfg := Config{Seed: 20231024, Scale: 1}
+// TestDeviceIDMatchesSprintf checks the fmt-free device ID formatter
+// against the format it replaces, across the padding boundaries and
+// past five digits (scale 100 numbers about 217k devices).
+func TestDeviceIDMatchesSprintf(t *testing.T) {
+	for _, seq := range []int{0, 1, 9, 10, 99, 100, 999, 1000, 9999, 10000, 21670, 99999, 100000, 216700, 1234567} {
+		if got, want := deviceID(seq), fmt.Sprintf("dev-%05d", seq); got != want {
+			t.Errorf("deviceID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}
+
+// BenchmarkGenerate times Generate at seed 20231024: at paper scale, at
+// ten times it (skipped under -short), and with the paper population
+// replayed at AsOf 2025-08-01, the only case that runs the drift
+// restamp.
+func BenchmarkGenerate(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"scale=1", Config{Seed: 20231024, Scale: 1}},
+		{"scale=10", Config{Seed: 20231024, Scale: 10}},
+		{"asof=2025-08-01", Config{Seed: 20231024, Scale: 1, AsOf: date(2025, 8, 1)}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			if bc.cfg.Scale >= 10 && testing.Short() {
+				b.Skip("scale 10 skipped under -short")
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				Generate(bc.cfg)
+			}
+		})
+	}
+}
+
+// BenchmarkSNIsByMinUsers times the SNI filter over the scale-10
+// population at the study's default of three users.
+func BenchmarkSNIsByMinUsers(b *testing.B) {
+	if testing.Short() {
+		b.Skip("scale 10 skipped under -short")
+	}
+	ds := Generate(Config{Seed: 20231024, Scale: 10})
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Generate(cfg)
+		ds.SNIsByMinUsers(3)
 	}
 }
 

@@ -94,17 +94,21 @@ func upgradeDate(seed int64, deviceID string, profile SecurityProfile) (time.Tim
 	return driftStart.Add(time.Duration(at * float64(span))), true
 }
 
-// upgradeEntryFor picks the modern-corpus entry an upgraded stack
-// rebuilds on: a hash of the original stack identity over the entries
-// released by the device's upgrade date, so every device sharing a
-// firmware stack that upgrades on the same date converges on the same
-// 1.3 fingerprint (shared ODM builds stay shared after the update).
-func upgradeEntryFor(seed int64, stackID string, upAt time.Time) libcorpus.ModernEntry {
-	entries := libcorpus.ModernAsOf(upAt)
-	if len(entries) == 0 {
+// upgradeEntries returns the modern-corpus entries a stack upgraded at
+// upAt may rebuild on: those released before upAt, or the first listed
+// entry when none was. It also returns how many were released: the
+// released sets only grow with upAt, so the count names the set. Each
+// upgraded stack picks its entry by a hash of the original stack
+// identity, so every device sharing a firmware stack that upgrades on
+// the same set converges on the same 1.3 fingerprint (shared ODM builds
+// stay shared after the update).
+func upgradeEntries(upAt time.Time) (entries []libcorpus.ModernEntry, released int) {
+	entries = libcorpus.ModernAsOf(upAt)
+	released = len(entries)
+	if released == 0 {
 		entries = libcorpus.Modern()[:1]
 	}
-	return entries[driftHash(seed, "fw-lib", stackID)%uint64(len(entries))]
+	return entries, released
 }
 
 // fwStackPrefix marks upgraded stack identities. The prefix embeds the
@@ -131,11 +135,25 @@ func (ds *Dataset) applyFirmwareDrift(cfg Config) {
 	}
 	cols := ds.Records.c
 	tab := cols.tab
+	// One decision per device, one entry-set per upgraded device, one
+	// fw-lib hash per original stack and one upgraded stack per
+	// (original stack, entry set): a record pays only the lookups.
 	type devDecision struct {
 		upgraded bool
-		at       time.Time
+		entries  []libcorpus.ModernEntry
+		released int
+	}
+	type upgradeKey struct {
+		stack    intern.Symbol
+		released int
+	}
+	type upgrade struct {
+		sym   intern.Symbol // 0: the stack is already an upgraded one
+		print fingerprint.Fingerprint
 	}
 	decisions := map[intern.Symbol]devDecision{}
+	libHash := map[intern.Symbol]uint64{}
+	upgrades := map[upgradeKey]upgrade{}
 	tmpl := map[tmplKey][]byte{}
 	var devicesUpgraded, recordsRestamped int64
 	for i := range cols.stack {
@@ -143,26 +161,37 @@ func (ds *Dataset) applyFirmwareDrift(cfg Config) {
 		dec, ok := decisions[devSym]
 		if !ok {
 			at, up := upgradeDate(cfg.Seed, tab.Str(devSym), profiles[tab.Str(cols.vendor[i])])
-			dec = devDecision{upgraded: up && !at.After(asof), at: at}
-			decisions[devSym] = dec
-			if dec.upgraded {
+			if dec.upgraded = up && !at.After(asof); dec.upgraded {
+				dec.entries, dec.released = upgradeEntries(at)
 				devicesUpgraded++
 			}
+			decisions[devSym] = dec
 		}
 		if !dec.upgraded {
 			continue
 		}
-		origID := tab.Str(cols.stack[i])
-		if strings.HasPrefix(origID, fwStackPrefix) {
+		key := upgradeKey{stack: cols.stack[i], released: dec.released}
+		u, ok := upgrades[key]
+		if !ok {
+			if origID := tab.Str(key.stack); !strings.HasPrefix(origID, fwStackPrefix) {
+				h, ok := libHash[key.stack]
+				if !ok {
+					h = driftHash(cfg.Seed, "fw-lib", origID)
+					libHash[key.stack] = h
+				}
+				entry := dec.entries[h%uint64(len(dec.entries))]
+				u = upgrade{sym: tab.Intern(fwStackPrefix + entry.Name() + ":" + origID), print: entry.Print}
+			}
+			upgrades[key] = u
+		}
+		if u.sym == 0 {
 			continue
 		}
-		entry := upgradeEntryFor(cfg.Seed, origID, dec.at)
-		newSym := tab.Intern(fwStackPrefix + entry.Name() + ":" + origID)
-		key := tmplKey{stack: newSym, sni: cols.sni[i]}
-		t, ok := tmpl[key]
+		tk := tmplKey{stack: u.sym, sni: cols.sni[i]}
+		t, ok := tmpl[tk]
 		if !ok {
-			t = buildHelloTemplate13(entry.Print, tab.Str(cols.sni[i]))
-			tmpl[key] = t
+			t = buildHelloTemplate13(u.print, tab.Str(cols.sni[i]))
+			tmpl[tk] = t
 		}
 		random := cols.rawSpan(cols.rawOff[i], cols.rawLen[i])[helloRandomOff : helloRandomOff+32]
 		off, buf := cols.rawAppend(len(t))
@@ -170,7 +199,7 @@ func (ds *Dataset) applyFirmwareDrift(cfg Config) {
 		copy(buf[helloRandomOff:], random)
 		cols.rawOff[i] = off
 		cols.rawLen[i] = uint32(len(t))
-		cols.stack[i] = newSym
+		cols.stack[i] = u.sym
 		recordsRestamped++
 	}
 	if m := cfg.Metrics; m != nil {

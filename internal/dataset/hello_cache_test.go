@@ -9,10 +9,20 @@ import (
 	"repro/internal/tlswire"
 )
 
-// TestStampHelloMatchesDirect checks that template stamping into the
-// columnar raw buffer produces byte-identical records to direct
-// marshaling, including rng stream consumption (one 32-byte read per
-// record), and that later rounds hit the template cache.
+// buildHello marshals a hello record directly, drawing its client
+// random from rng: the reference the stamp pipeline must reproduce.
+func buildHello(print fingerprint.Fingerprint, sni string, rng *rand.Rand) []byte {
+	raw := buildHelloTemplate(print, sni)
+	rng.Read(raw[helloRandomOff : helloRandomOff+32])
+	return raw
+}
+
+// TestStampHelloMatchesDirect checks that the plan/stamp pipeline
+// produces byte-identical records to direct marshaling, consumes the
+// rng exactly as direct marshaling does (one 32-byte read per record),
+// marshals once per (stack, SNI) pair, and lays the records out in time
+// order. The records span several blocks, so every
+// recycled block is refilled at least once.
 func TestStampHelloMatchesDirect(t *testing.T) {
 	prints := []fingerprint.Fingerprint{
 		{Version: tlswire.VersionTLS12, CipherSuites: []uint16{0xC030, 0x009D}, Extensions: []uint16{0, 10, 11}},
@@ -21,26 +31,45 @@ func TestStampHelloMatchesDirect(t *testing.T) {
 		{Version: tlswire.VersionSSL30, CipherSuites: []uint16{0x0004, 0x0005}, Extensions: []uint16{10}},
 	}
 	snis := []string{"", "cloud.example.com", "a.b.example.net"}
+	perRound := len(prints) * len(snis)
+	rounds := (stampBlocks+1)*stampBlockSize/perRound + 1
 	rngA := rand.New(rand.NewSource(99))
 	rngB := rand.New(rand.NewSource(99))
 	cols := newColumns()
-	cache := map[tmplKey][]byte{}
-	for round := 0; round < 3; round++ { // later rounds hit the cache
+	stamper := newHelloStamper(cols)
+	var want [][]byte
+	for round := 0; round < rounds; round++ {
 		for i, p := range prints {
-			stackID := "stack-" + string(rune('a'+i))
+			stack := &Stack{ID: "stack-" + string(rune('a'+i)), Print: p}
 			for _, sni := range snis {
-				want := buildHello(p, sni, rngA)
-				key := tmplKey{stack: cols.tab.Intern(stackID), sni: cols.tab.Intern(sni)}
-				off, n, hit := stampHello(cache, key, p, sni, cols, rngB)
-				got := cols.rawSpan(off, n)
-				if wantHit := round > 0; hit != wantHit {
-					t.Fatalf("round %d print %d sni %q: cache hit = %v, want %v", round, i, sni, hit, wantHit)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("round %d print %d sni %q: stamped record differs\n got %x\nwant %x", round, i, sni, got, want)
-				}
+				want = append(want, buildHello(p, sni, rngA))
+				// Times run backwards, so the sort reverses the records.
+				r := planRow{stack: cols.tab.Intern(stack.ID), sni: cols.tab.Intern(sni), timeNS: -int64(len(want))}
+				stamper.add(r, stack, sni, rngB)
 			}
 		}
+	}
+	stamper.finish()
+	if got, want := stamper.misses, int64(perRound); got != want {
+		t.Errorf("hellos marshaled = %d, want %d", got, want)
+	}
+	if got, want := stamper.hits, int64(len(want)-perRound); got != want {
+		t.Errorf("template hits = %d, want %d", got, want)
+	}
+	if cols.len() != len(want) {
+		t.Fatalf("%d records laid out, want %d", cols.len(), len(want))
+	}
+	for k := 0; k < cols.len(); k++ {
+		i := len(want) - 1 - k
+		if got := cols.rawSpan(cols.rawOff[k], cols.rawLen[k]); !bytes.Equal(got, want[i]) {
+			t.Fatalf("record %d: stamped bytes differ\n got %x\nwant %x", i, got, want[i])
+		}
+		if got, want := cols.timeNS[k], -int64(i+1); got != want {
+			t.Fatalf("sorted record %d: time %d, want %d", k, got, want)
+		}
+	}
+	if a, b := rngA.Int63(), rngB.Int63(); a != b {
+		t.Errorf("rng streams diverged after stamping: %d vs %d", a, b)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/ciphersuite"
 	"repro/internal/fingerprint"
+	"repro/internal/intern"
 	"repro/internal/libcorpus"
 	"repro/internal/tlswire"
 )
@@ -24,6 +25,27 @@ type Stack struct {
 	// SNIs restricts which servers the stack talks to (SDK stacks are
 	// server-tied, Section 4.4); empty means the vendor's own pool.
 	SNIs []string
+
+	// sym and sniSyms hold ID's and SNIs' symbols in the generating
+	// table, each interned at its first use (see Generate).
+	sym     intern.Symbol
+	sniSyms []intern.Symbol
+}
+
+// symbol returns the ID's symbol, interning it at first use.
+func (s *Stack) symbol(tab *intern.Table) intern.Symbol {
+	if s.sym == 0 {
+		s.sym = tab.Intern(s.ID)
+	}
+	return s.sym
+}
+
+// sniPool returns the stack's SNIs with their symbols.
+func (s *Stack) sniPool() symPool {
+	if s.sniSyms == nil {
+		s.sniSyms = make([]intern.Symbol, len(s.SNIs))
+	}
+	return symPool{strs: s.SNIs, syms: s.sniSyms}
 }
 
 // basePool returns library prints for a security profile era. All pool

@@ -30,9 +30,11 @@ var (
 	modernCorpus []ModernEntry
 )
 
-// Modern returns the dated post-2020 evolution entries, oldest first.
-// Callers may reorder the returned slice; the entries are shared and
-// immutable.
+// Modern returns the dated post-2020 evolution entries, grouped by
+// library family and oldest first within a family — not oldest first
+// overall: wolfSSL 5.6.3 (2023) precedes OpenSSL 3.0.0 (2021), so the
+// entries released by a date are no prefix of the list. Callers may
+// reorder the returned slice; the entries are shared and immutable.
 func Modern() []ModernEntry {
 	modernOnce.Do(func() { modernCorpus = buildModern() })
 	return append([]ModernEntry(nil), modernCorpus...)
