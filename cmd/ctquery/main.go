@@ -15,13 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/cliflags"
 	"repro/internal/ctlog"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/pki"
 	"repro/internal/simnet"
 )
@@ -104,44 +103,24 @@ func main() {
 		err  error
 	}
 	outs := make([]proofOut, len(candidates))
-	workers := common.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(candidates) && len(candidates) > 0 {
-		workers = len(candidates)
-	}
-	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				sni := candidates[i]
-				srv := world.Servers[sni]
-				if err := ctx.Err(); err != nil {
-					outs[i].err = fmt.Errorf("proof for %s: %w", sni, err)
-					continue
-				}
-				idx, proof, err := log.InclusionProofForCert(srv.Leaf.Cert)
-				if err != nil {
-					outs[i].err = fmt.Errorf("proof for %s: %w", sni, err)
-					continue
-				}
-				if !ctlog.VerifyInclusion(ctlog.LeafHashOfCert(srv.Leaf.Cert), idx, head.Size, proof, head.RootHash) {
-					outs[i].err = fmt.Errorf("inclusion proof for %s FAILED", sni)
-					continue
-				}
-				outs[i] = proofOut{idx: idx, path: len(proof)}
-			}
-		}()
-	}
-	for i := range candidates {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	par.For(common.Workers, len(candidates), func(i int) {
+		sni := candidates[i]
+		srv := world.Servers[sni]
+		if err := ctx.Err(); err != nil {
+			outs[i].err = fmt.Errorf("proof for %s: %w", sni, err)
+			return
+		}
+		idx, proof, err := log.InclusionProofForCert(srv.Leaf.Cert)
+		if err != nil {
+			outs[i].err = fmt.Errorf("proof for %s: %w", sni, err)
+			return
+		}
+		if !ctlog.VerifyInclusion(ctlog.LeafHashOfCert(srv.Leaf.Cert), idx, head.Size, proof, head.RootHash) {
+			outs[i].err = fmt.Errorf("inclusion proof for %s FAILED", sni)
+			return
+		}
+		outs[i] = proofOut{idx: idx, path: len(proof)}
+	})
 	verified, aborted := 0, 0
 	for i, out := range outs {
 		if out.err != nil {

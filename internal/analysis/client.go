@@ -9,7 +9,6 @@ package analysis
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -20,6 +19,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/intern"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/simnet"
 )
 
@@ -362,15 +362,7 @@ func NewClientWorkers(ds *dataset.Dataset, workers int) (*Client, error) {
 func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Client, error) {
 	sw := obs.NewStopwatch()
 	n := ds.Records.Len()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(par.Workers(workers), n))
 	c := NewClientEmpty()
 	for _, d := range ds.Devices {
 		c.setDevice(d.ID, deviceIdentity{firstNS: math.MinInt64, vendor: d.Vendor, typ: d.Type})
@@ -379,29 +371,19 @@ func NewClientObserved(ds *dataset.Dataset, workers int, m *obs.Registry) (*Clie
 	st := NewIngestState()
 	shards := make([]clientShard, workers)
 	aggs := make([]aggregate, workers)
-	var wg sync.WaitGroup
 	per := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * per
-		hi := lo + per
-		if hi > n {
-			hi = n
-		}
+	par.For(workers, workers, func(w int) {
+		lo, hi := w*per, min(w*per+per, n)
 		if lo >= hi {
-			continue
+			return
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			s := &shards[w]
-			s.init(st)
-			s.ingest(ds.Records.Slice(lo, hi), lo)
-			if s.err == nil {
-				aggs[w] = s.finalize()
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		s := &shards[w]
+		s.init(st)
+		s.ingest(ds.Records.Slice(lo, hi), lo)
+		if s.err == nil {
+			aggs[w] = s.finalize()
+		}
+	})
 
 	// Deterministic merge: the shard with the lowest-index parse error
 	// wins (matching the sequential loop's first-error semantics), and

@@ -3,14 +3,12 @@ package analysis
 import (
 	"bytes"
 	"crypto/x509"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ctlog"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/pki"
 	"repro/internal/probe"
 	"repro/internal/simnet"
@@ -124,25 +122,12 @@ func ValidateProbes(w *simnet.World, snis []string, vantages []simnet.Vantage, r
 	}
 	sort.Strings(ordered)
 	recs := make([]*CertRecord, len(ordered))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(ordered)))
-	// Workers claim SNIs in order from a shared counter rather than
-	// taking contiguous shards: a cache miss costs a chain verification
-	// and a hit almost nothing, so fixed shards would leave workers idle.
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < len(ordered); i = int(next.Add(1) - 1) {
-				recs[i] = newCertRecord(w, ordered[i], primary[ordered[i]])
-			}
-		}()
-	}
-	wg.Wait()
+	// Workers claim SNIs one at a time rather than taking contiguous
+	// shards: a cache miss costs a chain verification and a hit almost
+	// nothing, so fixed shards would leave workers idle.
+	par.For(workers, len(ordered), func(i int) {
+		recs[i] = newCertRecord(w, ordered[i], primary[ordered[i]])
+	})
 	for _, rec := range recs {
 		if rec != nil {
 			s.Records = append(s.Records, rec)

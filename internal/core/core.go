@@ -19,10 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"runtime"
-	"runtime/debug"
 	"slices"
-	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -30,6 +27,7 @@ import (
 	"repro/internal/fingerprint"
 	"repro/internal/graph"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/probe"
 	"repro/internal/report"
 	"repro/internal/serverfp"
@@ -163,14 +161,6 @@ func (c Config) vantages() []simnet.Vantage {
 	return simnet.Vantages()
 }
 
-// workers resolves the effective worker count.
-func (c Config) workers() int {
-	if c.Workers > 0 {
-		return c.Workers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // DefaultConfig is the paper-scale run.
 func DefaultConfig() Config {
 	return Config{Seed: 20231024, Scale: 1.0, MinSNIUsers: 3}
@@ -214,7 +204,7 @@ func Run(ctx context.Context, cfg Config) (*Study, error) {
 	if cfg.ServerFP {
 		stages = append(stages, Stage{Name: StageServerFP, After: []string{StageProbe}, Run: runServerFPStage})
 	}
-	if err := RunStages(ctx, st, pipe, stages); err != nil {
+	if err := runStages(ctx, st, pipe, stages); err != nil {
 		return nil, err
 	}
 	return st, nil
@@ -318,13 +308,13 @@ func (s *Study) serverTableJobs() []tableJob {
 	return jobs
 }
 
-// buildTables runs table jobs across the study's worker pool, preserving
-// slice order in the result regardless of completion order. The first
-// indexed job starts first, and every job that needs no index goes
-// before the other indexed ones, so while one worker builds the
-// Client's index the others have work that does not wait for it. A
-// job's panic is re-raised on the calling goroutine once every worker
-// has stopped, as it would be if the jobs ran on it.
+// buildTables runs table jobs on par.For, preserving slice order in
+// the result regardless of completion order. The first indexed job
+// starts first, and every job that needs no index goes before the other
+// indexed ones, so while one worker builds the Client's index the
+// others have work that does not wait for it. A job's panic reaches the
+// caller once every worker has stopped, as it would if the jobs ran on
+// it.
 func (s *Study) buildTables(jobs []tableJob) []report.Table {
 	if m := s.Config.Metrics; m != nil {
 		sw := obs.NewStopwatch()
@@ -333,57 +323,16 @@ func (s *Study) buildTables(jobs []tableJob) []report.Table {
 			m.Counter("report_tables_total").Add(int64(len(jobs)))
 		}()
 	}
-	workers := s.Config.workers()
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
+	order := dispatchOrder(jobs)
 	out := make([]report.Table, len(jobs))
-	if workers <= 1 {
-		for i, job := range jobs {
-			out[i] = job.build()
-		}
-		return out
-	}
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-		// firstPanic is the first job panic, with the job's stack.
-		firstPanic string
-	)
-	run := func(i int) {
-		defer func() {
-			if r := recover(); r != nil {
-				mu.Lock()
-				if firstPanic == "" {
-					firstPanic = fmt.Sprintf("%v\n\ngoroutine of table job %d:\n%s", r, i, debug.Stack())
-				}
-				mu.Unlock()
-			}
-		}()
+	par.For(s.Config.Workers, len(order), func(k int) {
+		i := order[k]
 		out[i] = jobs[i].build()
-	}
-	idx := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				run(i)
-			}
-		}()
-	}
-	for _, i := range dispatchOrder(jobs) {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	if firstPanic != "" {
-		panic(firstPanic)
-	}
+	})
 	return out
 }
 
-// dispatchOrder is the order buildTables hands jobs to its workers: the
+// dispatchOrder is the order buildTables hands jobs to par.For: the
 // first indexed job, then every job without the flag, then the other
 // indexed jobs, each group in slice order.
 func dispatchOrder(jobs []tableJob) []int {

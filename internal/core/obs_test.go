@@ -211,7 +211,7 @@ func TestRunStagesRejectsBadDAGs(t *testing.T) {
 		{"unknown dep", []Stage{{Name: "a", After: []string{"zz"}, Run: noop}}, "unknown"},
 		{"forward dep", []Stage{{Name: "a", After: []string{"b"}, Run: noop}, {Name: "b", Run: noop}}, "later"},
 	} {
-		err := RunStages(context.Background(), st, nil, tc.stages)
+		err := runStages(context.Background(), st, nil, tc.stages)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want substring %q", tc.name, err, tc.want)
 		}
@@ -232,7 +232,7 @@ func TestRunStagesFirstErrorWins(t *testing.T) {
 			return nil
 		}},
 	}
-	err := RunStages(context.Background(), st, nil, stages)
+	err := runStages(context.Background(), st, nil, stages)
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "stage fail") {
 		t.Fatalf("err = %v, want wrapped boom naming stage fail", err)
 	}

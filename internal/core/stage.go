@@ -75,8 +75,7 @@ func (r *StageRecorder) Count(key string, v int64) {
 // ingestion, SNI filtering, world building, probing, chain validation,
 // and the visitor join. The server branch (sni-filter → world-build →
 // probe → chain-validate) and client ingestion meet only at the join,
-// so neither waits for the other. Callers may inspect, reorder, or
-// extend the slice before handing it to RunStages; Run uses it as-is.
+// so neither waits for the other.
 func Stages() []Stage {
 	return []Stage{
 		{Name: StageDataset, Run: runDatasetStage},
@@ -110,7 +109,7 @@ func runCorpusStage(_ context.Context, st *Study, rec *StageRecorder) error {
 
 func runIngestStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	cfg := st.Config
-	client, err := analysis.NewClientObserved(st.Dataset, cfg.workers(), cfg.Metrics)
+	client, err := analysis.NewClientObserved(st.Dataset, cfg.Workers, cfg.Metrics)
 	if err != nil {
 		return err
 	}
@@ -130,7 +129,7 @@ func runSNIStage(_ context.Context, st *Study, rec *StageRecorder) error {
 
 func runWorldStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	cfg := st.Config
-	st.World = simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: st.SNIs, AsOf: cfg.AsOf, Faults: cfg.Faults, Workers: cfg.workers()})
+	st.World = simnet.Build(simnet.Config{Seed: cfg.Seed + 1, SNIs: st.SNIs, AsOf: cfg.AsOf, Faults: cfg.Faults, Workers: cfg.Workers})
 	st.World.Validator.Instrument(cfg.Metrics)
 	rec.Count("servers", int64(len(st.World.Servers)))
 	return nil
@@ -140,7 +139,7 @@ func runProbeStage(ctx context.Context, st *Study, rec *StageRecorder) error {
 	cfg := st.Config
 	opts := cfg.Probe
 	if opts.Workers == 0 {
-		opts.Workers = cfg.workers()
+		opts.Workers = cfg.Workers
 	}
 	if opts.Metrics == nil {
 		opts.Metrics = cfg.Metrics
@@ -160,7 +159,7 @@ func runServerFPStage(ctx context.Context, st *Study, rec *StageRecorder) error 
 	cfg := st.Config
 	opts := cfg.Probe
 	if opts.Workers == 0 {
-		opts.Workers = cfg.workers()
+		opts.Workers = cfg.Workers
 	}
 	// The battery runs uninstrumented: its attempts would otherwise land
 	// on the same probe_* series as the canonical sweep and break the
@@ -179,7 +178,7 @@ func runServerFPStage(ctx context.Context, st *Study, rec *StageRecorder) error 
 
 func runValidateStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	cfg := st.Config
-	st.Server = analysis.ValidateProbes(st.World, st.SNIs, cfg.vantages(), st.probeResults, st.probeStats, cfg.workers())
+	st.Server = analysis.ValidateProbes(st.World, st.SNIs, cfg.vantages(), st.probeResults, st.probeStats, cfg.Workers)
 	st.probeResults = nil // the engine output is folded into Server
 	rec.Count("records", int64(len(st.Server.Records)))
 	rec.Count("unreachable", int64(len(st.Server.UnreachableSNIs)))
@@ -192,13 +191,13 @@ func runJoinStage(_ context.Context, st *Study, rec *StageRecorder) error {
 	return nil
 }
 
-// RunStages executes a stage DAG against the study. Each stage gets a
+// runStages executes a stage DAG against the study. Each stage gets a
 // pre-allocated span under parent (created in definition order, so the
 // span tree's shape is deterministic for any scheduling), a
 // stage_seconds histogram sample, and a ctx check before launch; a
 // cancelled context aborts stages that have not started. The first
 // failing stage in definition order determines the returned error.
-func RunStages(ctx context.Context, st *Study, parent *obs.Span, stages []Stage) error {
+func runStages(ctx context.Context, st *Study, parent *obs.Span, stages []Stage) error {
 	idx := map[string]int{}
 	for i, s := range stages {
 		if s.Name == "" {

@@ -287,19 +287,7 @@ func (rs Records) Raw(i int) []byte {
 }
 
 // SNIs returns the distinct SNIs observed, sorted.
-func (ds *Dataset) SNIs() []string {
-	seen := map[intern.Symbol]bool{}
-	tab := ds.Records.Table()
-	var out []string
-	for i := 0; i < ds.Records.Len(); i++ {
-		if sym := ds.Records.SNISym(i); sym != 0 && !seen[sym] {
-			seen[sym] = true
-			out = append(out, tab.Str(sym))
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (ds *Dataset) SNIs() []string { return ds.SNIsByMinUsers(1) }
 
 // SNIsByMinUsers returns SNIs observed from at least minUsers distinct
 // users (the paper filtered SNIs seen from <= 2 users). Symbols are

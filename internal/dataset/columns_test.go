@@ -102,7 +102,8 @@ func snisByMinUsersMap(ds *Dataset, minUsers int) []string {
 
 // TestSNIsByMinUsersMatchesMapReference checks the dense SNI filter
 // against the map-based reference at three seeds and three thresholds,
-// on a whole dataset and on a dataset whose records are a subview.
+// on a whole dataset and on a dataset whose records are a subview; at
+// min-users 1 it checks SNIs() too.
 func TestSNIsByMinUsersMatchesMapReference(t *testing.T) {
 	for _, seed := range []int64{1, 4242, 20231024} {
 		ds := Generate(Config{Seed: seed, Scale: 1})
@@ -112,6 +113,9 @@ func TestSNIsByMinUsersMatchesMapReference(t *testing.T) {
 				got, want := d.SNIsByMinUsers(minUsers), snisByMinUsersMap(d, minUsers)
 				if !slices.Equal(got, want) {
 					t.Errorf("seed %d, min-users %d, %s: %d SNIs, reference %d", seed, minUsers, name, len(got), len(want))
+				}
+				if minUsers == 1 && !slices.Equal(d.SNIs(), want) {
+					t.Errorf("seed %d, %s: SNIs() has %d SNIs, reference %d", seed, name, len(d.SNIs()), len(want))
 				}
 				if len(want) == 0 {
 					t.Errorf("seed %d, min-users %d, %s: reference kept no SNI", seed, minUsers, name)

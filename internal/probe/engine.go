@@ -4,12 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/simnet"
 	"repro/internal/tlswire"
 )
@@ -51,9 +51,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
 	if o.AttemptTimeout <= 0 {
 		o.AttemptTimeout = 5 * time.Second
 	}
@@ -232,28 +229,14 @@ func (e *Engine) Run(ctx context.Context, snis []string, vantages []simnet.Vanta
 		}
 	}
 	results := make([]Result, len(jobs))
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < e.opts.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				sni, v := jobs[i].sni, jobs[i].vantage
-				results[i] = e.runJob(ctx, sni, v, "", func(actx context.Context) (Response, error) {
-					return e.prober.Probe(actx, sni, v)
-				})
-			}
-		}()
-	}
-	// Feed every index: once ctx is cancelled, runJob returns aborted
-	// results immediately, so the queue drains without wedging.
-	for i := range jobs {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	// Every index runs: once ctx is cancelled, runJob returns aborted
+	// results immediately, so the loop drains without wedging.
+	par.For(e.opts.Workers, len(jobs), func(i int) {
+		sni, v := jobs[i].sni, jobs[i].vantage
+		results[i] = e.runJob(ctx, sni, v, "", func(actx context.Context) (Response, error) {
+			return e.prober.Probe(actx, sni, v)
+		})
+	})
 	return results, e.StatsSnapshot()
 }
 
@@ -289,29 +272,15 @@ func (e *Engine) RunBattery(ctx context.Context, snis []string, vantage simnet.V
 	sort.Strings(ordered)
 	ordered = dedup(ordered)
 	results := make([]Result, len(ordered)*len(battery))
-
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for i := 0; i < e.opts.Workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				sni := ordered[i]
-				for j, bp := range battery {
-					hello := bp.Hello(sni)
-					results[i*len(battery)+j] = e.runJob(ctx, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
-						return hp.ProbeHello(actx, sni, vantage, hello)
-					})
-				}
-			}
-		}()
-	}
-	for i := range ordered {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	par.For(e.opts.Workers, len(ordered), func(i int) {
+		sni := ordered[i]
+		for j, bp := range battery {
+			hello := bp.Hello(sni)
+			results[i*len(battery)+j] = e.runJob(ctx, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
+				return hp.ProbeHello(actx, sni, vantage, hello)
+			})
+		}
+	})
 	return results, e.StatsSnapshot(), nil
 }
 

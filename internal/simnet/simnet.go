@@ -20,15 +20,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/ctlog"
 	"repro/internal/dataset"
+	"repro/internal/par"
 	"repro/internal/pki"
 )
 
@@ -304,13 +302,15 @@ type caMint struct {
 }
 
 func (c *caMint) mint() {
+	// Closed on every path: if minting panics, the jobs waiting on this
+	// CA must still return for the panic to reach Build's caller.
+	defer close(c.done)
 	if c.parent == nil {
 		c.ca = pki.NewCA(c.org, c.kind, caBirth, c.years, 1)
 	} else {
 		<-c.parent.done
 		c.ca = pki.NewSubCA(c.org, c.kind, c.parent.ca, caBirth, c.years)
 	}
-	close(c.done)
 }
 
 // leafMint is one leaf certificate the world mints.
@@ -555,33 +555,17 @@ func (p *worldPlan) planSLD(sld string, snis []string, owner, issuerOrg string, 
 	}
 }
 
-// mint signs every planned certificate across workers (0 means
-// GOMAXPROCS): the CAs first, in plan order, then the leaves. Workers
-// claim jobs from a shared counter, so at most workers certificates are
-// in flight. A job waits for the CA it signs under; that CA's job comes
-// earlier, so it is already claimed.
+// mint signs every planned certificate on par.For: the CAs first, in
+// plan order, then the leaves. A job waits for the CA it signs under;
+// that CA's job comes earlier, so it is already claimed.
 func (p *worldPlan) mint(workers int) {
-	n := len(p.cas) + len(p.leaves)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, n))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1) - 1); i < n; i = int(next.Add(1) - 1) {
-				if i < len(p.cas) {
-					p.cas[i].mint()
-				} else {
-					p.leaves[i-len(p.cas)].mint()
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	par.For(workers, len(p.cas)+len(p.leaves), func(i int) {
+		if i < len(p.cas) {
+			p.cas[i].mint()
+		} else {
+			p.leaves[i-len(p.cas)].mint()
+		}
+	})
 }
 
 // assemble registers the minted CAs, then builds each group's chains,
