@@ -30,6 +30,10 @@ func main() {
 	common.Register(flag.CommandLine)
 	verify := flag.Int("verify", 16, "number of inclusion proofs to verify")
 	flag.Parse()
+	if *verify < 0 {
+		fmt.Fprintf(os.Stderr, "ctquery: -verify %d is negative\n", *verify)
+		os.Exit(2)
+	}
 	seed, scale := &common.Seed, &common.Scale
 
 	ds := dataset.Generate(dataset.Config{Seed: *seed, Scale: *scale})

@@ -46,9 +46,10 @@ type Config struct {
 	// AsOf replays the study at a later virtual date: the dataset applies
 	// its firmware-drift schedule (upgraded devices emit 1.3-era hellos),
 	// the server world applies its backend drift, the library corpus
-	// gains the post-2020 dated entries, and the report grows the
-	// adoption-timeline tables. Zero is the paper-era run, byte-identical
-	// to a config without the field.
+	// gains the post-2020 dated entries, and, when the dataset is
+	// generated rather than given, the report grows the adoption-timeline
+	// tables. Zero is the paper-era run, byte-identical to a config
+	// without the field.
 	AsOf time.Time
 	// Dataset, when non-nil, replaces generation: the dataset stage uses
 	// it as-is and Seed/Scale stop influencing the population (they still
@@ -245,7 +246,11 @@ func (s *Study) clientTableJobs() []tableJob {
 	}
 	// The timeline tables only exist on drift runs, so the paper-era
 	// report stays byte-identical (same gating as the serverfp tables).
-	if !s.Config.AsOf.IsZero() {
+	// They replay the generator's upgrade schedule from the dataset's
+	// seed and its devices' stacks, which a dataset rebuilt from records
+	// (Config.Dataset) does not carry, so only a generated dataset
+	// renders them.
+	if !s.Config.AsOf.IsZero() && s.Config.Dataset == nil {
 		jobs = append(jobs,
 			tableJob{build: func() report.Table { return report.AdoptionCurve(s.Dataset.AdoptionCurve(s.timelineDates())) }},
 			tableJob{build: func() report.Table { return report.DowngradeStragglers(s.Dataset.DowngradeStragglers(), 15) }},

@@ -5,6 +5,9 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/dataset"
 )
 
 func runSmall(t testing.TB) *Study {
@@ -146,5 +149,41 @@ func TestServerFPStage(t *testing.T) {
 	plain.WriteReport(&pbuf)
 	if strings.Contains(pbuf.String(), "Server stack census") {
 		t.Fatal("default report contains serverfp tables")
+	}
+}
+
+// TestTimelineTablesNeedGeneratedDataset: the adoption tables replay the
+// generator's upgrade schedule from the dataset's seed and device
+// stacks. A dataset rebuilt from records carries neither, so an AsOf
+// study over one (the daemon's final report) omits both tables rather
+// than render the schedule at seed 0 with every device counted legacy.
+func TestTimelineTablesNeedGeneratedDataset(t *testing.T) {
+	asof := time.Date(2025, 8, 1, 0, 0, 0, 0, time.UTC)
+	rows := dataset.Generate(dataset.Config{Seed: 17, Scale: 0.2, AsOf: asof}).Records.Rows()
+	titles := []string{
+		"TLS 1.3 adoption timeline (firmware drift)",
+		"Downgrade stragglers by vendor (never upgrade)",
+	}
+	for _, tc := range []struct {
+		name string
+		ds   *dataset.Dataset
+		want bool
+	}{
+		{"generated", nil, true},
+		{"from-records", dataset.FromRecords(rows), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Run(context.Background(), Config{Seed: 17, Scale: 0.2, MinSNIUsers: 2, AsOf: asof, Dataset: tc.ds})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			s.WriteReport(&buf)
+			for _, title := range titles {
+				if got := strings.Contains(buf.String(), title); got != tc.want {
+					t.Errorf("report has %q: %v, want %v", title, got, tc.want)
+				}
+			}
+		})
 	}
 }

@@ -294,7 +294,8 @@ func (ds *Dataset) SNIs() []string { return ds.SNIsByMinUsers(1) }
 // dense, so it counts with arrays indexed by symbol, linear in the
 // records and the table: a counting sort buckets each record's user by
 // SNI, then a bucket's distinct users are those whose last-seen mark
-// is not yet this SNI.
+// is not yet this SNI. At minUsers <= 1 the record counts decide alone,
+// since every record has a user, so no bucket is filled.
 func (ds *Dataset) SNIsByMinUsers(minUsers int) []string {
 	recs := ds.Records
 	if recs.Len() == 0 {
@@ -307,6 +308,16 @@ func (ds *Dataset) SNIsByMinUsers(minUsers int) []string {
 		if sym := recs.SNISym(i); sym != 0 {
 			start[sym+1]++
 		}
+	}
+	if minUsers <= 1 {
+		var out []string
+		for s := 1; s < nSyms; s++ {
+			if start[s+1] > 0 {
+				out = append(out, tab.Str(intern.Symbol(s)))
+			}
+		}
+		sort.Strings(out)
+		return out
 	}
 	for s := 1; s <= nSyms; s++ {
 		start[s] += start[s-1]

@@ -453,16 +453,19 @@ func BenchmarkGenerate(b *testing.B) {
 }
 
 // BenchmarkSNIsByMinUsers times the SNI filter over the scale-10
-// population at the study's default of three users.
+// population at one user (SNIs) and the study's default of three.
 func BenchmarkSNIsByMinUsers(b *testing.B) {
 	if testing.Short() {
 		b.Skip("scale 10 skipped under -short")
 	}
 	ds := Generate(Config{Seed: 20231024, Scale: 10})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ds.SNIsByMinUsers(3)
+	for _, minUsers := range []int{1, 3} {
+		b.Run(fmt.Sprintf("min-users=%d", minUsers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ds.SNIsByMinUsers(minUsers)
+			}
+		})
 	}
 }
 

@@ -62,7 +62,6 @@ var deadExportKeep = map[string]string{
 	"internal/obs.Span.Name":                            "span name the trace-shape tests assert",
 	"internal/pki.LeafSpec.ValidityDays":                "validity arithmetic the PKI tests pin",
 	"internal/pki.TrustStore.Len":                       "root count the trust-store tests assert",
-	"internal/probe.Engine.BreakerStateOf":              "breaker state the engine tests assert",
 	"internal/serverfp.Observation.Key":                 "canonical observation string the serverfp tests compare",
 	"internal/simnet.ServerStacks":                      "paper-era stack registry the stack tests iterate",
 	"internal/tlswire.ClientHello.PSKKeyExchangeModes":  "1.3 extension view the wire and fuzz tests check",

@@ -145,66 +145,96 @@ func TestRunBatteryRequiresHelloProber(t *testing.T) {
 
 // overlapProber records, per host, which probes were sent in which
 // order and whether two probes of one host were ever in flight at once.
-// Each ProbeHello sleeps briefly so concurrent dispatch would overlap.
+// Each probe sleeps briefly so concurrent dispatch would overlap. A
+// plain probe is recorded by its vantage, a crafted hello by its first
+// cipher suite.
 type overlapProber struct {
 	mu       sync.Mutex
 	inFlight map[string]int
 	overlap  map[string]bool
-	order    map[string][]uint16
+	order    map[string][]string
 }
 
 func (p *overlapProber) Probe(ctx context.Context, sni string, v simnet.Vantage) (Response, error) {
+	p.probe(sni, string(v))
 	return Response{}, nil
 }
 
 func (p *overlapProber) ProbeHello(ctx context.Context, sni string, v simnet.Vantage, hello *tlswire.ClientHello) (Response, error) {
+	p.probe(sni, fmt.Sprintf("%04x", hello.CipherSuites[0]))
+	return Response{Cipher: hello.CipherSuites[0]}, nil
+}
+
+func (p *overlapProber) probe(sni, tag string) {
 	p.mu.Lock()
 	p.inFlight[sni]++
 	if p.inFlight[sni] > 1 {
 		p.overlap[sni] = true
 	}
-	p.order[sni] = append(p.order[sni], hello.CipherSuites[0])
+	p.order[sni] = append(p.order[sni], tag)
 	p.mu.Unlock()
 	time.Sleep(200 * time.Microsecond)
 	p.mu.Lock()
 	p.inFlight[sni]--
 	p.mu.Unlock()
-	return Response{Cipher: hello.CipherSuites[0]}, nil
 }
 
 // TestRunBatteryOneHostAtATime: with several workers, no two probes of
-// one host are in flight together and every host sees its battery in
-// battery order. Per-host state (retry budget, breaker, simnet's fault
-// attempt counter) is keyed without the probe name, so overlapping
-// probes of one host made results depend on scheduling.
+// one host are in flight together, and every host sees its jobs in
+// order: its battery in battery order under RunBattery, its vantages in
+// the given order under Run. A host's retry budget and breaker, and
+// simnet's fault attempt counter, are per host, so overlapping probes
+// of one host would make results depend on scheduling.
 func TestRunBatteryOneHostAtATime(t *testing.T) {
-	p := &overlapProber{inFlight: map[string]int{}, overlap: map[string]bool{}, order: map[string][]uint16{}}
-	eng, _ := testEngine(p, Options{Workers: 4, Seed: 5})
-	var battery []BatteryProbe
-	var want []uint16
-	for i := 0; i < 8; i++ {
-		suite := uint16(0xC000 + i)
-		want = append(want, suite)
-		battery = append(battery, BatteryProbe{Name: fmt.Sprintf("p%d", i), Hello: func(sni string) *tlswire.ClientHello {
-			ch := &tlswire.ClientHello{LegacyVersion: tlswire.VersionTLS12, CipherSuites: []uint16{suite}, CompressionMethods: []byte{0}}
-			ch.SetSNI(sni)
-			return ch
-		}})
-	}
 	snis := []string{"a.example", "b.example", "c.example", "d.example", "e.example", "f.example"}
-	results, _, err := eng.RunBattery(context.Background(), snis, simnet.VantageNewYork, battery)
-	if err != nil {
-		t.Fatalf("RunBattery: %v", err)
-	}
-	if len(results) != len(snis)*len(battery) {
-		t.Fatalf("results = %d, want %d", len(results), len(snis)*len(battery))
-	}
-	for _, sni := range snis {
-		if p.overlap[sni] {
-			t.Errorf("%s: two battery probes were in flight at once", sni)
-		}
-		if !reflect.DeepEqual(p.order[sni], want) {
-			t.Errorf("%s: probes sent in order %04x, want battery order %04x", sni, p.order[sni], want)
-		}
+	sweeps := []struct {
+		name string
+		want []string
+		run  func(*Engine) ([]Result, error)
+	}{{
+		name: "battery",
+		want: []string{"c000", "c001", "c002", "c003", "c004", "c005", "c006", "c007"},
+		run: func(eng *Engine) ([]Result, error) {
+			var battery []BatteryProbe
+			for i := 0; i < 8; i++ {
+				suite := uint16(0xC000 + i)
+				battery = append(battery, BatteryProbe{Name: fmt.Sprintf("p%d", i), Hello: func(sni string) *tlswire.ClientHello {
+					ch := &tlswire.ClientHello{LegacyVersion: tlswire.VersionTLS12, CipherSuites: []uint16{suite}, CompressionMethods: []byte{0}}
+					ch.SetSNI(sni)
+					return ch
+				}})
+			}
+			results, _, err := eng.RunBattery(context.Background(), snis, simnet.VantageNewYork, battery)
+			return results, err
+		},
+	}, {
+		name: "run",
+		want: []string{"singapore", "new-york", "frankfurt"},
+		run: func(eng *Engine) ([]Result, error) {
+			vantages := []simnet.Vantage{simnet.VantageSingapore, simnet.VantageNewYork, simnet.VantageFrankfurt}
+			results, _ := eng.Run(context.Background(), snis, vantages)
+			return results, nil
+		},
+	}}
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			p := &overlapProber{inFlight: map[string]int{}, overlap: map[string]bool{}, order: map[string][]string{}}
+			eng, _ := testEngine(p, Options{Workers: 4, Seed: 5})
+			results, err := sw.run(eng)
+			if err != nil {
+				t.Fatalf("sweep: %v", err)
+			}
+			if len(results) != len(snis)*len(sw.want) {
+				t.Fatalf("results = %d, want %d", len(results), len(snis)*len(sw.want))
+			}
+			for _, sni := range snis {
+				if p.overlap[sni] {
+					t.Errorf("%s: two probes were in flight at once", sni)
+				}
+				if !reflect.DeepEqual(p.order[sni], sw.want) {
+					t.Errorf("%s: probes sent in order %v, want %v", sni, p.order[sni], sw.want)
+				}
+			}
+		})
 	}
 }

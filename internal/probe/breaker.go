@@ -32,10 +32,10 @@ func (s BreakerState) String() string {
 }
 
 // Breaker is a per-peer circuit breaker. The probe engine arms one per
-// host (only transient failures move it: terminal hosts fail once and
-// never reach the failure path, and an aborted run says nothing about
-// the host); the ingest service arms one per submitting source to shut
-// out peers whose batches keep poisoning the pipeline.
+// host for each sweep (only transient failures move it: terminal hosts
+// fail once and never reach the failure path, and an aborted run says
+// nothing about the host); the ingest service arms one per submitting
+// source to shut out peers whose batches keep poisoning the pipeline.
 type Breaker struct {
 	mu        sync.Mutex
 	threshold int
@@ -102,11 +102,4 @@ func (b *Breaker) Failure(now time.Time) (opened bool) {
 		}
 	}
 	return false
-}
-
-// State exposes the state for tests and summaries.
-func (b *Breaker) State() BreakerState {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.state
 }

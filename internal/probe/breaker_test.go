@@ -5,11 +5,19 @@ import (
 	"time"
 )
 
+// stateOf reads the breaker's position; nothing outside the breaker
+// needs it, since a state shows only in what Allow grants.
+func stateOf(b *Breaker) BreakerState {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.state
+}
+
 func TestBreakerStateMachine(t *testing.T) {
 	start := time.Date(2022, 4, 15, 0, 0, 0, 0, time.UTC)
 	b := NewBreaker(3, 10*time.Second)
 
-	if got := b.State(); got != BreakerClosed {
+	if got := stateOf(b); got != BreakerClosed {
 		t.Fatalf("initial state %v, want closed", got)
 	}
 	// Two failures stay closed; the third opens.
@@ -24,7 +32,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.Failure(start) {
 		t.Fatal("threshold failure did not open breaker")
 	}
-	if got := b.State(); got != BreakerOpen {
+	if got := stateOf(b); got != BreakerOpen {
 		t.Fatalf("state %v after threshold, want open", got)
 	}
 
@@ -37,7 +45,7 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.Allow(trialTime) {
 		t.Fatal("breaker did not half-open after cooldown")
 	}
-	if got := b.State(); got != BreakerHalfOpen {
+	if got := stateOf(b); got != BreakerHalfOpen {
 		t.Fatalf("state %v after cooldown, want half-open", got)
 	}
 	if b.Allow(trialTime) {
@@ -57,7 +65,7 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("breaker did not half-open after second cooldown")
 	}
 	b.Success()
-	if got := b.State(); got != BreakerClosed {
+	if got := stateOf(b); got != BreakerClosed {
 		t.Fatalf("state %v after successful trial, want closed", got)
 	}
 	// The streak restarted: two failures must not reopen.

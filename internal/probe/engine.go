@@ -24,8 +24,9 @@ type Options struct {
 	// MaxRetries caps retries per (SNI, vantage) job after the first
 	// attempt (0: default 3; < 0: no retries).
 	MaxRetries int
-	// RetryBudget caps total retries per host across all vantages
-	// (0: default 12; < 0: no budget-funded retries).
+	// RetryBudget caps the retries a sweep spends on one host, across
+	// all of its vantages or battery probes (0: default 12; < 0: no
+	// budget-funded retries).
 	RetryBudget int
 	// BackoffBase and BackoffMax bound the exponential full-jitter
 	// backoff: attempt n sleeps uniform[0, min(BackoffMax, BackoffBase*2^(n-1))]
@@ -183,27 +184,30 @@ func newInstruments(m *obs.Registry) instruments {
 }
 
 // Engine drives a Prober with retries, backoff, budgets, and breakers.
-// State (breakers, budgets, stats) persists across Run calls so repeated
-// sweeps against the same fleet keep warm breaker state.
+// A sweep (Run or RunBattery) hands each host to one worker, which runs
+// the host's jobs in order against a breaker and a retry budget that
+// belong to that host for that sweep only. So under faults, too, the
+// results do not depend on the worker count, with one exception: the
+// clock the breaker cooldown reads. A FakeClock shared by all workers
+// is advanced by other hosts' sleeps as well, so under it a cooldown can
+// elapse at a point that depends on scheduling. On the wall clock a
+// simulated host's sweep takes far less than the default 30s cooldown.
+// Only Stats accumulate across sweeps.
 type Engine struct {
 	prober Prober
 	opts   Options
 	inst   instruments
 
-	mu       sync.Mutex
-	breakers map[string]*Breaker
-	budgets  map[string]int
-	stats    Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 // New builds an engine over the prober with normalized options.
 func New(p Prober, opts Options) *Engine {
 	return &Engine{
-		prober:   p,
-		opts:     opts.withDefaults(),
-		inst:     newInstruments(opts.Metrics),
-		breakers: map[string]*Breaker{},
-		budgets:  map[string]int{},
+		prober: p,
+		opts:   opts.withDefaults(),
+		inst:   newInstruments(opts.Metrics),
 	}
 }
 
@@ -214,26 +218,9 @@ func New(p Prober, opts Options) *Engine {
 // cancellation, queued jobs return ClassAborted, and every job still gets
 // a Result.
 func (e *Engine) Run(ctx context.Context, snis []string, vantages []simnet.Vantage) ([]Result, Stats) {
-	ordered := append([]string(nil), snis...)
-	sort.Strings(ordered)
-	ordered = dedup(ordered)
-
-	type job struct {
-		sni     string
-		vantage simnet.Vantage
-	}
-	jobs := make([]job, 0, len(ordered)*len(vantages))
-	for _, sni := range ordered {
-		for _, v := range vantages {
-			jobs = append(jobs, job{sni, v})
-		}
-	}
-	results := make([]Result, len(jobs))
-	// Every index runs: once ctx is cancelled, runJob returns aborted
-	// results immediately, so the loop drains without wedging.
-	par.For(e.opts.Workers, len(jobs), func(i int) {
-		sni, v := jobs[i].sni, jobs[i].vantage
-		results[i] = e.runJob(ctx, sni, v, "", func(actx context.Context) (Response, error) {
+	results := e.sweep(snis, len(vantages), func(h *host, sni string, j int) Result {
+		v := vantages[j]
+		return e.runJob(ctx, h, sni, v, "", func(actx context.Context) (Response, error) {
 			return e.prober.Probe(actx, sni, v)
 		})
 	})
@@ -257,40 +244,55 @@ type BatteryProbe struct {
 // deterministic: SNIs sorted and deduplicated, probes in battery order,
 // results[i*len(battery)+j] = (snis[i], battery[j]). The prober must
 // implement HelloProber.
-//
-// Work is dispatched per host: one worker sends a host's whole battery,
-// in battery order. The host's retry budget and breaker, and any
-// per-host fault state in the prober, are keyed without the probe name;
-// if one host's probes ran concurrently, results would depend on
-// scheduling.
 func (e *Engine) RunBattery(ctx context.Context, snis []string, vantage simnet.Vantage, battery []BatteryProbe) ([]Result, Stats, error) {
 	hp, ok := e.prober.(HelloProber)
 	if !ok {
 		return nil, e.StatsSnapshot(), fmt.Errorf("probe: %T cannot send crafted hellos", e.prober)
 	}
+	results := e.sweep(snis, len(battery), func(h *host, sni string, j int) Result {
+		bp := battery[j]
+		hello := bp.Hello(sni)
+		return e.runJob(ctx, h, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
+			return hp.ProbeHello(actx, sni, vantage, hello)
+		})
+	})
+	return results, e.StatsSnapshot(), nil
+}
+
+// host is one host's breaker and retry budget for one sweep; only the
+// worker sweeping the host touches it.
+type host struct {
+	breaker *Breaker
+	budget  int
+}
+
+// sweep runs perHost jobs against every SNI, sorted and deduplicated.
+// One worker takes a host and calls job for j = 0..perHost-1 in order,
+// storing results[i*perHost+j]. A prober may keep per-host state too:
+// simnet counts attempts per (host, vantage), whatever battery probe
+// sent them, so overlapping jobs of one host would make the fault
+// schedule depend on scheduling. Once ctx is cancelled every job
+// returns an aborted result at once, so the loop drains.
+func (e *Engine) sweep(snis []string, perHost int, job func(h *host, sni string, j int) Result) []Result {
 	ordered := append([]string(nil), snis...)
 	sort.Strings(ordered)
 	ordered = dedup(ordered)
-	results := make([]Result, len(ordered)*len(battery))
+	results := make([]Result, len(ordered)*perHost)
 	par.For(e.opts.Workers, len(ordered), func(i int) {
-		sni := ordered[i]
-		for j, bp := range battery {
-			hello := bp.Hello(sni)
-			results[i*len(battery)+j] = e.runJob(ctx, sni, vantage, bp.Name, func(actx context.Context) (Response, error) {
-				return hp.ProbeHello(actx, sni, vantage, hello)
-			})
+		h := &host{breaker: NewBreaker(e.opts.BreakerThreshold, e.opts.BreakerCooldown), budget: e.opts.RetryBudget}
+		for j := range perHost {
+			results[i*perHost+j] = job(h, ordered[i], j)
 		}
 	})
-	return results, e.StatsSnapshot(), nil
+	return results
 }
 
 // runJob drives one job through the retry loop. probeName is "" for
 // plain sweeps and the battery probe's name for crafted hellos; attempt
 // performs one probe under the per-attempt deadline.
-func (e *Engine) runJob(ctx context.Context, sni string, vantage simnet.Vantage, probeName string, probeOnce func(context.Context) (Response, error)) Result {
+func (e *Engine) runJob(ctx context.Context, h *host, sni string, vantage simnet.Vantage, probeName string, probeOnce func(context.Context) (Response, error)) Result {
 	res := Result{SNI: sni, Vantage: vantage, Probe: probeName}
 	e.bump(func(s *Stats) { s.Jobs++ })
-	br := e.breakerFor(sni)
 
 	for attempt := 1; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -304,7 +306,7 @@ func (e *Engine) runJob(ctx context.Context, sni string, vantage simnet.Vantage,
 
 		var resp Response
 		var err error
-		if !br.Allow(e.opts.Clock.Now()) {
+		if !h.breaker.Allow(e.opts.Clock.Now()) {
 			err = fmt.Errorf("%w: %s", ErrCircuitOpen, sni)
 			e.bump(func(s *Stats) { s.BreakerFastFails++ })
 			e.inst.fastFails.Inc()
@@ -329,7 +331,7 @@ func (e *Engine) runJob(ctx context.Context, sni string, vantage simnet.Vantage,
 
 		switch class {
 		case ClassNone:
-			br.Success()
+			h.breaker.Success()
 			res.Response, res.Class = resp, ClassNone
 			res.Trace = append(res.Trace, rec)
 			e.bump(func(s *Stats) {
@@ -362,7 +364,7 @@ func (e *Engine) runJob(ctx context.Context, sni string, vantage simnet.Vantage,
 		// whether a retry is allowed.
 		fastFail := errors.Is(err, ErrCircuitOpen)
 		if !fastFail {
-			if br.Failure(e.opts.Clock.Now()) {
+			if h.breaker.Failure(e.opts.Clock.Now()) {
 				e.bump(func(s *Stats) { s.BreakerOpens++ })
 				e.inst.opens.Inc()
 			}
@@ -376,13 +378,16 @@ func (e *Engine) runJob(ctx context.Context, sni string, vantage simnet.Vantage,
 		}
 		// Fast-fails retry for free: the breaker already suppressed the
 		// probe, and backoff gives its cooldown room to elapse.
-		if !fastFail && !e.takeBudget(sni) {
-			res.Err, res.Class = err, ClassTransient
-			res.Trace = append(res.Trace, rec)
-			e.bump(func(s *Stats) { s.TransientFailures++; s.BudgetExhausted++ })
-			e.inst.transient.Inc()
-			e.inst.budgetOut.Inc()
-			return res
+		if !fastFail {
+			if h.budget <= 0 {
+				res.Err, res.Class = err, ClassTransient
+				res.Trace = append(res.Trace, rec)
+				e.bump(func(s *Stats) { s.TransientFailures++; s.BudgetExhausted++ })
+				e.inst.transient.Inc()
+				e.inst.budgetOut.Inc()
+				return res
+			}
+			h.budget--
 		}
 		rec.Backoff = e.backoff(sni, vantage, probeName, attempt)
 		res.Trace = append(res.Trace, rec)
@@ -416,46 +421,6 @@ func (e *Engine) backoff(sni string, vantage simnet.Vantage, probeName string, a
 	}
 	frac := HashFrac(e.opts.Seed, "backoff", sni, key, attempt)
 	return time.Duration(frac * float64(ceil))
-}
-
-func (e *Engine) breakerFor(sni string) *Breaker {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	b := e.breakers[sni]
-	if b == nil {
-		b = NewBreaker(e.opts.BreakerThreshold, e.opts.BreakerCooldown)
-		e.breakers[sni] = b
-	}
-	return b
-}
-
-// takeBudget consumes one retry from the host's budget, reporting whether
-// any remained.
-func (e *Engine) takeBudget(sni string) bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	rem, seen := e.budgets[sni]
-	if !seen {
-		rem = e.opts.RetryBudget
-	}
-	if rem <= 0 {
-		e.budgets[sni] = 0
-		return false
-	}
-	e.budgets[sni] = rem - 1
-	return true
-}
-
-// BreakerStateOf reports a host's breaker state (BreakerClosed when the
-// host has never been probed).
-func (e *Engine) BreakerStateOf(sni string) BreakerState {
-	e.mu.Lock()
-	b := e.breakers[sni]
-	e.mu.Unlock()
-	if b == nil {
-		return BreakerClosed
-	}
-	return b.State()
 }
 
 // StatsSnapshot returns a copy of the cumulative stats.

@@ -210,13 +210,15 @@ func TestBreakerFastFailsWhileOpen(t *testing.T) {
 	}
 	p.set("down.example.com", simnet.VantageNewYork, fail...)
 	// Threshold 2 opens the breaker mid-job; the 1-hour cooldown dwarfs
-	// the backoff budget, so every later attempt fast-fails.
+	// the backoff budget, so every later attempt fast-fails, including
+	// every attempt of the host's second vantage, which would succeed.
 	eng, _ := testEngine(p, Options{
 		Workers: 1, MaxRetries: 5, RetryBudget: 100,
 		BreakerThreshold: 2, BreakerCooldown: time.Hour, Seed: 3,
 	})
 
-	results, stats := eng.Run(context.Background(), []string{"down.example.com"}, []simnet.Vantage{simnet.VantageNewYork})
+	vantages := []simnet.Vantage{simnet.VantageNewYork, simnet.VantageFrankfurt}
+	results, stats := eng.Run(context.Background(), []string{"down.example.com"}, vantages)
 	if stats.BreakerOpens != 1 {
 		t.Fatalf("breaker opens = %d, want 1", stats.BreakerOpens)
 	}
@@ -227,17 +229,20 @@ func TestBreakerFastFailsWhileOpen(t *testing.T) {
 	if got := p.callCount("down.example.com", simnet.VantageNewYork); got != 2 {
 		t.Fatalf("prober called %d times, want 2", got)
 	}
-	if eng.BreakerStateOf("down.example.com") != BreakerOpen {
-		t.Fatalf("breaker state %v, want open", eng.BreakerStateOf("down.example.com"))
+	if got := p.callCount("down.example.com", simnet.VantageFrankfurt); got != 0 {
+		t.Fatalf("open breaker let %d probes of the second vantage through", got)
 	}
-	if results[0].Class != ClassTransient {
-		t.Fatalf("final class %v, want transient", results[0].Class)
+	for i, r := range results {
+		if r.Class != ClassTransient || !errors.Is(r.Err, ErrCircuitOpen) {
+			t.Fatalf("results[%d]: class %v err %v, want transient circuit-open", i, r.Class, r.Err)
+		}
 	}
 }
 
 func TestBreakerHalfOpenRecovery(t *testing.T) {
 	p := newScriptedProber()
 	p.set("blip.example.com", simnet.VantageNewYork, simnet.ErrConnReset, simnet.ErrConnReset)
+	p.set("blip.example.com", simnet.VantageFrankfurt, simnet.ErrConnReset)
 	// Nanosecond cooldown: the first backoff sleep carries the virtual
 	// clock past it, so the next attempt is the half-open trial — which
 	// succeeds (script exhausted) and closes the breaker.
@@ -246,15 +251,19 @@ func TestBreakerHalfOpenRecovery(t *testing.T) {
 		BreakerThreshold: 2, BreakerCooldown: time.Nanosecond, Seed: 11,
 	})
 
-	results, stats := eng.Run(context.Background(), []string{"blip.example.com"}, []simnet.Vantage{simnet.VantageNewYork})
+	vantages := []simnet.Vantage{simnet.VantageNewYork, simnet.VantageFrankfurt}
+	results, stats := eng.Run(context.Background(), []string{"blip.example.com"}, vantages)
 	if results[0].Class != ClassNone {
 		t.Fatalf("want recovery through half-open trial, got %+v", results[0])
 	}
-	if stats.BreakerOpens != 1 || stats.RecoveredAfterRetry != 1 {
-		t.Fatalf("stats = %+v", stats)
+	// The closed breaker passes the second vantage's probes, and one
+	// failure stays under the threshold: an open or half-open breaker
+	// would have fast-failed the first probe or reopened on it.
+	if got := p.callCount("blip.example.com", simnet.VantageFrankfurt); got != 2 || results[1].Class != ClassNone {
+		t.Fatalf("second vantage: %d probes, class %v; want 2 and recovered", got, results[1].Class)
 	}
-	if eng.BreakerStateOf("blip.example.com") != BreakerClosed {
-		t.Fatalf("breaker state %v, want closed after successful trial", eng.BreakerStateOf("blip.example.com"))
+	if stats.BreakerOpens != 1 || stats.BreakerFastFails != 0 || stats.RecoveredAfterRetry != 2 {
+		t.Fatalf("stats = %+v", stats)
 	}
 }
 
@@ -281,11 +290,12 @@ func runFaultyWorld(t *testing.T, workers int) []traceView {
 		LatencyJitter: 20 * time.Millisecond,
 		Sleep:         clock.Sleep,
 	}})
-	// Budget and breaker thresholds high enough that no shared per-host
-	// state fires: every retry decision is then a pure function of the
-	// fault seed, independent of worker interleaving.
+	// Each host's budget and breaker belong to the worker sweeping it,
+	// but the cooldown reads the one FakeClock every worker's sleeps
+	// advance, so where a cooldown ends would depend on interleaving:
+	// the threshold keeps the breaker closed.
 	eng := New(WorldProber{World: world}, Options{
-		Workers: workers, Seed: 8, RetryBudget: 1000, BreakerThreshold: 1000, Clock: clock,
+		Workers: workers, Seed: 8, BreakerThreshold: 1000, Clock: clock,
 	})
 	results, _ := eng.Run(context.Background(), snis, simnet.Vantages())
 	views := make([]traceView, len(results))

@@ -2,8 +2,9 @@
 // any backend implementing Prober (today the simulated world of
 // internal/simnet, tomorrow a live scanner) with per-attempt timeouts,
 // exponential backoff with full jitter, a per-host retry budget, a
-// per-host circuit breaker, and a bounded worker pool with graceful
-// cancellation and deterministic result ordering.
+// per-host circuit breaker, and a bounded sweep that hands each host to
+// one worker, with graceful cancellation and deterministic result
+// ordering.
 //
 // The engine classifies every failure before deciding whether to retry:
 // transient failures (timeouts, resets, stalled handshakes) are retried

@@ -80,13 +80,12 @@ func (c Case) vantages() []simnet.Vantage {
 	return simnet.Vantages()
 }
 
-// config assembles the core.Config for one run of the case. Fault-rate
-// cases neutralize every timing- and ordering-sensitive knob: backoff
-// waits are collapsed to a nanosecond, the injected stall sleeps are
-// virtual, and the circuit breaker's threshold is pushed out of reach —
-// breaker state is shared per host, so with it armed the worker
-// interleaving could change which attempts fast-fail and the
-// worker-invariance property would not hold.
+// config assembles the core.Config for one run of the case. Backoff
+// waits are collapsed to a nanosecond and the injected stall sleeps are
+// virtual, so fault-rate cases spend no real time waiting. The circuit
+// breaker stays armed: the probe engine gives each host its own breaker
+// for the sweep, so which attempts fast-fail does not depend on the
+// worker count.
 func (c Case) config(workers int, tracer *obs.Tracer, metrics *obs.Registry) core.Config {
 	cfg := core.Config{
 		Seed:        c.Seed,
@@ -97,9 +96,8 @@ func (c Case) config(workers int, tracer *obs.Tracer, metrics *obs.Registry) cor
 		Tracer:      tracer,
 		Metrics:     metrics,
 		Probe: probe.Options{
-			BackoffBase:      time.Nanosecond,
-			BackoffMax:       time.Nanosecond,
-			BreakerThreshold: 1 << 20,
+			BackoffBase: time.Nanosecond,
+			BackoffMax:  time.Nanosecond,
 		},
 	}
 	if c.MinSNIUsers == 0 {

@@ -65,15 +65,12 @@ func runServerFPCell(ctx context.Context, c ServerFPCase, workers int) (*serverf
 		faults = &simnet.Faults{Seed: c.Seed + 2, TransientRate: c.FaultRate, Sleep: virtualSleep}
 	}
 	world := simnet.Build(simnet.Config{Seed: c.Seed + 1, SNIs: snis, Faults: faults, Workers: workers})
-	// The same timing neutralization Case.config applies: collapsed
-	// backoff and an out-of-reach breaker keep the worker interleaving
-	// out of the results.
+	// The same collapsed backoff Case.config applies.
 	return serverfp.Fingerprint(ctx, world, snis, simnet.VantageNewYork, probe.Options{
-		Workers:          workers,
-		Seed:             c.Seed,
-		BackoffBase:      time.Nanosecond,
-		BackoffMax:       time.Nanosecond,
-		BreakerThreshold: 1 << 20,
+		Workers:     workers,
+		Seed:        c.Seed,
+		BackoffBase: time.Nanosecond,
+		BackoffMax:  time.Nanosecond,
 	})
 }
 

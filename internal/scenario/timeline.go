@@ -64,9 +64,8 @@ func runTimelineEpoch(ctx context.Context, c TimelineCase, asof time.Time, worke
 		Workers:     workers,
 		AsOf:        asof,
 		Probe: probe.Options{
-			BackoffBase:      time.Nanosecond,
-			BackoffMax:       time.Nanosecond,
-			BreakerThreshold: 1 << 20,
+			BackoffBase: time.Nanosecond,
+			BackoffMax:  time.Nanosecond,
 		},
 	})
 	if err != nil {
