@@ -317,10 +317,11 @@ func (s *Study) serverTableJobs() []tableJob {
 // the result regardless of completion order. The first indexed job
 // starts first, and every job that needs no index goes before the other
 // indexed ones, so while one worker builds the Client's index the
-// others have work that does not wait for it. A job's panic reaches the
-// caller once every worker has stopped, as it would if the jobs ran on
-// it.
-func (s *Study) buildTables(jobs []tableJob) []report.Table {
+// others have work that does not wait for it. Each of beside is one
+// more job on the same workers, handed out before any table. A job's
+// panic reaches the caller once every worker has stopped, as it would
+// if the jobs ran on it.
+func (s *Study) buildTables(jobs []tableJob, beside ...func()) []report.Table {
 	if m := s.Config.Metrics; m != nil {
 		sw := obs.NewStopwatch()
 		defer func() {
@@ -330,8 +331,12 @@ func (s *Study) buildTables(jobs []tableJob) []report.Table {
 	}
 	order := dispatchOrder(jobs)
 	out := make([]report.Table, len(jobs))
-	par.For(s.Config.Workers, len(order), func(k int) {
-		i := order[k]
+	par.For(s.Config.Workers, len(beside)+len(order), func(k int) {
+		if k < len(beside) {
+			beside[k]()
+			return
+		}
+		i := order[k-len(beside)]
 		out[i] = jobs[i].build()
 	})
 	return out
@@ -368,17 +373,24 @@ func (s *Study) ServerTables() []report.Table {
 
 // WriteReport renders every table to w. Tables are built concurrently
 // (bounded by Config.Workers) and emitted in fixed order, so the bytes
-// written are identical for every worker count.
+// written are identical for every worker count. The header's distinct
+// users, models and observed SNIs each scan the whole population, so
+// they are counted on the same workers beside the tables, not before
+// the first table starts.
 func (s *Study) WriteReport(w io.Writer) {
 	sp := s.Config.Tracer.Root().Child("report")
 	defer sp.End()
-	fmt.Fprintf(w, "IoT TLS & Certificate Study — %d devices, %d users, %d models, %d records\n",
-		len(s.Dataset.Devices), s.Dataset.Users(), s.Dataset.Models(), s.Dataset.Records.Len())
-	fmt.Fprintf(w, "Fingerprints: %d unique; SNIs probed: %d (of %d observed)\n\n",
-		s.Client.NumFingerprints(), len(s.SNIs), len(s.Dataset.SNIs()))
 	jobs := append(s.clientTableJobs(), s.serverTableJobs()...)
 	sp.SetCount("tables", int64(len(jobs)))
-	for _, t := range s.buildTables(jobs) {
+	var users, models, observed int
+	tables := s.buildTables(jobs, func() {
+		users, models, observed = s.Dataset.Users(), s.Dataset.Models(), len(s.Dataset.SNIs())
+	})
+	fmt.Fprintf(w, "IoT TLS & Certificate Study — %d devices, %d users, %d models, %d records\n",
+		len(s.Dataset.Devices), users, models, s.Dataset.Records.Len())
+	fmt.Fprintf(w, "Fingerprints: %d unique; SNIs probed: %d (of %d observed)\n\n",
+		s.Client.NumFingerprints(), len(s.SNIs), observed)
+	for _, t := range tables {
 		t.WriteText(w)
 		fmt.Fprintln(w)
 	}

@@ -205,10 +205,11 @@ func TestMatcherExact(t *testing.T) {
 	}
 }
 
-// TestMatcherEntriesSortedFreshSlice: Entries sorts the corpus by family
-// then version once per matcher and hands every caller its own top-level
-// slice, so one caller reordering its copy cannot change the next.
-func TestMatcherEntriesSortedFreshSlice(t *testing.T) {
+// TestMatcherEntriesSortedReadOnly: Entries sorts the corpus by family
+// then version once per matcher and hands every caller the matcher's
+// own slice, without a copy per call; appending to it copies, so one
+// caller's append cannot change the next caller's slice.
+func TestMatcherEntriesSortedReadOnly(t *testing.T) {
 	corpus := corpusForTest()
 	slices.Reverse(corpus)
 	m := NewMatcher(corpus)
@@ -224,9 +225,13 @@ func TestMatcherEntriesSortedFreshSlice(t *testing.T) {
 	if got := names(first); !slices.Equal(got, want) {
 		t.Fatalf("Entries() = %v, want %v", got, want)
 	}
-	slices.Reverse(first)
+	if second := m.Entries(); &second[0] != &first[0] {
+		t.Fatal("Entries() copied the corpus")
+	}
+	grown := append(first, LibraryEntry{Family: "zzz", Version: "1"})
+	grown[0].Version = "changed"
 	if got := names(m.Entries()); !slices.Equal(got, want) {
-		t.Fatalf("after reordering one result, Entries() = %v, want %v", got, want)
+		t.Fatalf("after appending to one result, Entries() = %v, want %v", got, want)
 	}
 }
 

@@ -291,10 +291,11 @@ func (m *Matcher) ExtensionCounts() (map[tlswire.ExtensionType]int, int) {
 	return m.extCounts, m.extPrints
 }
 
-// Entries returns the corpus sorted by family then version, as a fresh
-// top-level slice the caller may reorder or append to.
+// Entries returns the corpus sorted by family then version. The slice
+// is the matcher's own and is read-only: a caller that reorders it must
+// copy it first. Its capacity ends at its length, so an append copies.
 func (m *Matcher) Entries() []LibraryEntry {
-	return append([]LibraryEntry(nil), m.entries...)
+	return m.entries[:len(m.entries):len(m.entries)]
 }
 
 // versionLess compares dotted version strings numerically where possible,

@@ -12,22 +12,28 @@ import (
 )
 
 // Table10 renders the release dates of major library versions from the
-// corpus metadata (the appendix's static reference table).
+// corpus metadata (the appendix's static reference table). It only
+// reads entries.
 func Table10(entries []fingerprint.LibraryEntry) Table {
 	type agg struct {
+		key     string // family + " " + series, the row order
 		family  string
 		series  string
 		minYear int
 		maxYear int
 		count   int
 	}
-	series := map[string]*agg{}
+	type seriesKey struct{ family, series string }
+	series := map[seriesKey]*agg{}
+	var rows []*agg
 	for _, e := range entries {
-		s := e.Family + " " + majorSeries(e.Version)
-		a := series[s]
+		k := seriesKey{e.Family, majorSeries(e.Version)}
+		a := series[k]
 		if a == nil {
-			a = &agg{family: e.Family, series: majorSeries(e.Version), minYear: e.ReleaseYear, maxYear: e.ReleaseYear}
-			series[s] = a
+			a = &agg{key: k.family + " " + k.series, family: k.family, series: k.series,
+				minYear: e.ReleaseYear, maxYear: e.ReleaseYear}
+			series[k] = a
+			rows = append(rows, a)
 		}
 		a.count++
 		if e.ReleaseYear < a.minYear {
@@ -37,17 +43,12 @@ func Table10(entries []fingerprint.LibraryEntry) Table {
 			a.maxYear = e.ReleaseYear
 		}
 	}
-	keys := make([]string, 0, len(series))
-	for k := range series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
 	t := Table{
 		Title:   "Table 10: Release dates of major library versions",
 		Headers: []string{"Library", "Series", "First release", "Last release", "#.Versions"},
 	}
-	for _, k := range keys {
-		a := series[k]
+	for _, a := range rows {
 		t.Rows = append(t.Rows, []string{
 			a.family, a.series, itoa(a.minYear), itoa(a.maxYear), itoa(a.count),
 		})

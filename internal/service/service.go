@@ -199,6 +199,11 @@ type Stats struct {
 	// the latest census.
 	ServerFPRuns    int64 `json:"serverfp_runs"`
 	ServerFPTargets int64 `json:"serverfp_targets"`
+	// ReportRenders counts snapshot report renders: one per epoch read
+	// through GET /report (WriteSnapshotReport), whose later reads
+	// write the first render's bytes. Reads minus renders is the reads
+	// served from an earlier render.
+	ReportRenders int64 `json:"report_renders"`
 }
 
 // Conserved reports the conservation invariant: every submitted batch
@@ -235,8 +240,10 @@ type parsedBatch struct {
 // Service is the resident ingest-and-analyze daemon core, transport
 // agnostic: Handler wraps it in HTTP, tests drive Submit directly.
 type Service struct {
-	opts    Options
-	matcher *fingerprint.Matcher // shared by every snapshot report render
+	opts Options
+	// matcher is the library matcher every snapshot report render
+	// shares, built by the first render: nothing else reads it.
+	matcher func() *fingerprint.Matcher
 
 	// mu guards admission: lifecycle flag, queue sends, per-source
 	// budgets and breakers, and the submission sequence. depth counts
@@ -285,6 +292,9 @@ type Service struct {
 	sfpView    *ServerFPView
 	sfpRuns    atomic.Int64
 	sfpTargets atomic.Int64
+
+	// reportRenders counts snapshot report renders (snapshot.go).
+	reportRenders atomic.Int64
 
 	submittedB, submittedR     atomic.Int64
 	acceptedB, acceptedR       atomic.Int64
@@ -337,7 +347,7 @@ func New(opts Options) *Service {
 	s.kept.records, s.kept.logBytes = m.Gauge("service_accepted_records"), m.Gauge("service_accepted_log_bytes")
 	s.kept.strings, s.kept.prints = m.Gauge("service_ingest_strings"), m.Gauge("service_ingest_prints")
 	s.kept.sources = m.Gauge("service_sources")
-	s.matcher = libcorpus.NewMatcher()
+	s.matcher = sync.OnceValue(libcorpus.NewMatcher)
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	now := opts.Clock.Now()
 	s.lastActivity.Store(now.UnixNano())
@@ -710,6 +720,7 @@ func (s *Service) Stats() Stats {
 	st.IngestP50, st.IngestP99 = s.latencyQuantiles()
 	st.ServerFPRuns = s.sfpRuns.Load()
 	st.ServerFPTargets = s.sfpTargets.Load()
+	st.ReportRenders = s.reportRenders.Load()
 	return st
 }
 

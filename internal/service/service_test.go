@@ -121,9 +121,9 @@ func TestDeltaMergeMatchesBatch(t *testing.T) {
 	}
 
 	var got, want bytes.Buffer
-	snap.WriteReport(&got, s.matcher, 2)
+	snap.WriteReport(&got, s.matcher(), 2)
 	alt := &Snapshot{Epoch: snap.Epoch, Records: snap.Records, At: snap.At, Client: batch}
-	alt.WriteReport(&want, s.matcher, 5)
+	alt.WriteReport(&want, s.matcher(), 5)
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("snapshot report bytes diverge from batch render (%d vs %d bytes)", got.Len(), want.Len())
 	}
@@ -417,7 +417,7 @@ func TestDeviceIdentityIgnoresBatchOrder(t *testing.T) {
 					got, snap.Client.DeviceType(a.DeviceID), canon.Devices[0].Vendor, canon.Devices[0].Type)
 			}
 			var sr, fr bytes.Buffer
-			snap.WriteReport(&sr, s.matcher, 1)
+			snap.WriteReport(&sr, s.matcher(), 1)
 			if err := s.FinalReport(context.Background(), &fr, cfg); err != nil {
 				t.Fatal(err)
 			}

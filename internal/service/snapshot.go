@@ -1,8 +1,10 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/analysis"
@@ -32,6 +34,15 @@ type Snapshot struct {
 	// Client is the client-side analysis state at this epoch (see
 	// analysis.Client.Clone).
 	Client *analysis.Client
+
+	// report is the service's render of this epoch, made by its first
+	// read (Service.WriteSnapshotReport). It lives and dies with the
+	// snapshot.
+	report struct {
+		once  sync.Once
+		text  []byte
+		fault any // the panic of a render that did not finish
+	}
 }
 
 // Snapshot returns the current epoch. Never nil: epoch 0 with an empty
@@ -42,7 +53,8 @@ func (s *Service) Snapshot() *Snapshot {
 
 // WriteReport renders the snapshot's client-side analysis (the Section
 // 4 + Appendix B tables) with a service header. Server-side tables need
-// the probe world and exist only in the drained FinalReport.
+// the probe world and exist only in the drained FinalReport. Every call
+// renders afresh.
 func (sn *Snapshot) WriteReport(w io.Writer, matcher *fingerprint.Matcher, workers int) {
 	fmt.Fprintf(w, "IoT TLS Service Snapshot — epoch %d, %d batches, %d records, %d fingerprints\n\n",
 		sn.Epoch, sn.Epoch, sn.Records, sn.Client.NumFingerprints())
@@ -53,8 +65,35 @@ func (sn *Snapshot) WriteReport(w io.Writer, matcher *fingerprint.Matcher, worke
 	}
 }
 
-// WriteSnapshotReport renders the current epoch with the service's
-// shared library matcher.
+// WriteSnapshotReport writes the current epoch's report, rendered with
+// the service's shared library matcher. A snapshot and the matcher never
+// change, so the report is a pure function of the epoch: its first read
+// renders it into bytes, concurrent first reads wait for that one render,
+// and every later read of the snapshot writes the same bytes. A render
+// that panics keeps no bytes, and every read of that epoch panics with
+// the first one's value, so no read writes a partial report.
 func (s *Service) WriteSnapshotReport(w io.Writer) {
-	s.Snapshot().WriteReport(w, s.matcher, s.opts.Workers)
+	w.Write(s.snapshotReport(s.Snapshot()))
+}
+
+// snapshotReport returns sn's report bytes, rendering them on the first
+// call. The bytes are shared and must not be modified.
+func (s *Service) snapshotReport(sn *Snapshot) []byte {
+	r := &sn.report
+	r.once.Do(func() {
+		s.reportRenders.Add(1)
+		defer func() {
+			if p := recover(); p != nil {
+				r.fault = p
+				panic(p)
+			}
+		}()
+		var b bytes.Buffer
+		sn.WriteReport(&b, s.matcher(), s.opts.Workers)
+		r.text = b.Bytes()
+	})
+	if r.text == nil {
+		panic(r.fault)
+	}
+	return r.text
 }

@@ -3,8 +3,12 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
+	"log"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync"
 	"testing"
@@ -36,7 +40,7 @@ func TestConcurrentSnapshotReadersDuringIngest(t *testing.T) {
 	waitFor(t, "early batches merged", func() bool { return s.Stats().AcceptedBatches == earlyBatches })
 	early := s.Snapshot()
 	var earlyReport bytes.Buffer
-	early.WriteReport(&earlyReport, s.matcher, 2)
+	early.WriteReport(&earlyReport, s.matcher(), 2)
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
@@ -94,7 +98,7 @@ func TestConcurrentSnapshotReadersDuringIngest(t *testing.T) {
 		t.Fatalf("no merge after the early snapshot (epoch %d, final %d)", early.Epoch, snap.Epoch)
 	}
 	var again bytes.Buffer
-	early.WriteReport(&again, s.matcher, 2)
+	early.WriteReport(&again, s.matcher(), 2)
 	if !bytes.Equal(again.Bytes(), earlyReport.Bytes()) {
 		t.Fatalf("early snapshot (epoch %d) renders different bytes after %d later batches",
 			early.Epoch, snap.Epoch-early.Epoch)
@@ -242,9 +246,9 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got, want bytes.Buffer
-		snap.WriteReport(&got, s.matcher, 2)
+		snap.WriteReport(&got, s.matcher(), 2)
 		ref := &Snapshot{Epoch: snap.Epoch, Records: snap.Records, Client: batch}
-		ref.WriteReport(&want, s.matcher, 2)
+		ref.WriteReport(&want, s.matcher(), 2)
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatalf("epoch %d (%d records): report differs from a batch analysis of the accepted prefix",
 				snap.Epoch, snap.Records)
@@ -255,10 +259,13 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 
 // TestSnapshotTablesRenderConcurrently renders every client table of
 // one published snapshot from 4 goroutines at once, with 2 table
-// workers each, while the live client keeps merging. The first render
-// builds the snapshot's table index while the others read it, and
-// every render must equal a sequential one of an independently merged
-// client over the same batches.
+// workers each, while 4 more read it through WriteSnapshotReport and
+// the live client keeps merging. The first render builds the snapshot's
+// table index while the others read it, and every render must equal a
+// sequential one of an independently merged client over the same
+// batches. The late batches wait at the worker gate until every cached
+// read has returned, so those reads are first reads of one epoch: they
+// must share one render.
 func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 	recs := testRecords(t)
 	s := New(Options{Seed: 17, Workers: 2, QueueDepth: 256, SourceBudget: 256})
@@ -279,9 +286,10 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 	(&Snapshot{Epoch: snap.Epoch, Records: snap.Records, Client: ref}).
 		WriteReport(&want, libcorpus.NewMatcher(), 1)
 
+	s.PauseWorkers()
 	matcher := libcorpus.NewMatcher()
 	start := make(chan struct{})
-	var wg sync.WaitGroup
+	var wg, reads sync.WaitGroup
 	got := make([]bytes.Buffer, 4)
 	for i := range got {
 		wg.Add(1)
@@ -290,6 +298,15 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 			<-start
 			snap.WriteReport(buf, matcher, 2)
 		}(&got[i])
+	}
+	cached := make([]bytes.Buffer, 4)
+	for i := range cached {
+		reads.Add(1)
+		go func(buf *bytes.Buffer) {
+			defer reads.Done()
+			<-start
+			s.WriteSnapshotReport(buf)
+		}(&cached[i])
 	}
 	wg.Add(1)
 	go func() {
@@ -301,6 +318,8 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 		}
 	}()
 	close(start)
+	reads.Wait()
+	s.ResumeWorkers()
 	wg.Wait()
 	drain(t, s)
 	for i := range got {
@@ -309,7 +328,135 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 				i, got[i].Len(), want.Len())
 		}
 	}
+	for i := range cached {
+		if !bytes.Equal(cached[i].Bytes(), want.Bytes()) {
+			t.Fatalf("concurrent WriteSnapshotReport %d (%d bytes) differs from the sequential render (%d bytes)",
+				i, cached[i].Len(), want.Len())
+		}
+	}
+	if n := s.Stats().ReportRenders; n != 1 {
+		t.Fatalf("%d concurrent first reads of one epoch made %d renders, want 1", len(cached), n)
+	}
 	if s.Snapshot().Epoch == snap.Epoch {
 		t.Fatal("no merge ran beside the renders")
+	}
+}
+
+// TestSnapshotReportRendersOnce reads one epoch twice over HTTP: both
+// reads return the same bytes, equal to an uncached render of that
+// snapshot, and /statz counts one render. Once a merge publishes a new
+// epoch, the next read renders it, while the earlier snapshot keeps
+// its own bytes.
+func TestSnapshotReportRendersOnce(t *testing.T) {
+	recs := testRecords(t)
+	s := New(Options{Seed: 23, Workers: 2})
+	srv := httptest.NewServer(Handler(s, HTTPOptions{}))
+	defer srv.Close()
+	defer drain(t, s)
+	renders := func() int64 {
+		var st Stats
+		_, body := getBody(t, srv.URL+"/statz")
+		if err := json.Unmarshal([]byte(body), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.ReportRenders
+	}
+	uncached := func(sn *Snapshot) string {
+		var b bytes.Buffer
+		sn.WriteReport(&b, libcorpus.NewMatcher(), 1)
+		return b.String()
+	}
+
+	s.Submit("alpha", recs[:20])
+	waitFor(t, "first batch merged", func() bool { return s.Stats().AcceptedBatches == 1 })
+	first := s.Snapshot()
+	_, a := getBody(t, srv.URL+"/report")
+	_, b := getBody(t, srv.URL+"/report")
+	if a != b || a != uncached(first) {
+		t.Fatalf("two reads of epoch %d differ from each other or from an uncached render (%d, %d bytes)",
+			first.Epoch, len(a), len(b))
+	}
+	if n := renders(); n != 1 {
+		t.Fatalf("two reads of one epoch made %d renders, want 1", n)
+	}
+
+	s.Submit("alpha", recs[20:40])
+	waitFor(t, "second batch merged", func() bool { return s.Stats().AcceptedBatches == 2 })
+	_, c := getBody(t, srv.URL+"/report")
+	if c == a || c != uncached(s.Snapshot()) {
+		t.Fatalf("read after epoch %d repeats the old bytes or differs from an uncached render", s.Snapshot().Epoch)
+	}
+	if n := renders(); n != 2 {
+		t.Fatalf("reads of two epochs made %d renders, want 2", n)
+	}
+	if old := string(s.snapshotReport(first)); old != a {
+		t.Fatal("the earlier snapshot's bytes changed after a later epoch rendered")
+	}
+	if n := renders(); n != 2 {
+		t.Fatalf("a second read of the earlier epoch rendered again (%d renders)", n)
+	}
+}
+
+// TestSnapshotReportPanicCachesNothing publishes a snapshot whose
+// render panics (it has no Client). Concurrent first reads and every
+// later read of it must panic with the first render's value and write
+// nothing, and over HTTP no read of it may get a 200.
+func TestSnapshotReportPanicCachesNothing(t *testing.T) {
+	s := New(Options{Seed: 29, Workers: 2})
+	defer drain(t, s)
+	s.snap.Store(&Snapshot{Epoch: 7})
+	read := func() (out []byte, fault any) {
+		var b bytes.Buffer
+		defer func() {
+			fault = recover()
+			out = b.Bytes()
+		}()
+		s.WriteSnapshotReport(&b)
+		return nil, nil
+	}
+
+	faults := make([]any, 4)
+	var wg sync.WaitGroup
+	for i := range faults {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			var out []byte
+			if out, faults[i] = read(); len(out) > 0 {
+				t.Errorf("concurrent read %d of a failed render wrote %d bytes", i, len(out))
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 0; i < 2; i++ {
+		out, fault := read()
+		faults = append(faults, fault)
+		if len(out) > 0 {
+			t.Fatalf("later read %d of a failed render wrote %d bytes", i, len(out))
+		}
+	}
+	for i, f := range faults {
+		if f == nil || fmt.Sprint(f) != fmt.Sprint(faults[0]) {
+			t.Fatalf("read %d: recovered %v, want every read to fail as the first did (%v)", i, f, faults[0])
+		}
+	}
+	if n := s.Stats().ReportRenders; n != 1 {
+		t.Fatalf("%d reads of a failed epoch made %d renders, want 1", len(faults), n)
+	}
+
+	srv := httptest.NewUnstartedServer(Handler(s, HTTPOptions{}))
+	srv.Config.ErrorLog = log.New(io.Discard, "", 0) // the handler's panic is expected
+	srv.Start()
+	defer srv.Close()
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(srv.URL + "/report")
+		if err != nil {
+			continue // the server dropped the connection: the read failed
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			t.Fatalf("GET /report %d of a failed render: 200 with %d bytes", i, len(body))
+		}
 	}
 }
