@@ -351,7 +351,7 @@ func New(opts Options) *Service {
 	s.ctx, s.cancel = context.WithCancel(context.Background())
 	now := opts.Clock.Now()
 	s.lastActivity.Store(now.UnixNano())
-	s.snap.Store(&Snapshot{At: now, Client: analysis.NewClientEmpty()})
+	s.snap.Store(s.newSnapshot(0, 0, now, analysis.NewClientEmpty()))
 	for i := 0; i < opts.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker()
@@ -535,12 +535,7 @@ func (s *Service) publish(group []parsedBatch) {
 
 	t = startPhase(s.phases.publish)
 	now := s.opts.Clock.Now()
-	snap := &Snapshot{
-		Epoch:   s.batches,
-		Records: records,
-		At:      now,
-		Client:  s.live.Clone(),
-	}
+	snap := s.newSnapshot(s.batches, records, now, s.live.Clone())
 	// Only the merger stores snapshots, so epochs are stored in order
 	// and never regress. Readers stay lock-free: they only load the
 	// pointer.

@@ -35,14 +35,26 @@ type Snapshot struct {
 	// analysis.Client.Clone).
 	Client *analysis.Client
 
-	// report is the service's render of this epoch, made by its first
-	// read (Service.WriteSnapshotReport). It lives and dies with the
-	// snapshot.
-	report struct {
-		once  sync.Once
-		text  []byte
-		fault any // the panic of a render that did not finish
-	}
+	// report returns the service's render of this epoch, made by its
+	// first call (see Service.newSnapshot). It lives and dies with the
+	// snapshot. The bytes are shared: callers must not modify them.
+	report func() []byte
+}
+
+// newSnapshot makes an epoch whose report is rendered with the service's
+// shared library matcher by its first read and kept for every later one.
+// sync.OnceValue makes concurrent first reads wait for that one render,
+// and after a render that panics it keeps no bytes and panics with the
+// same value on every call.
+func (s *Service) newSnapshot(epoch, records int64, at time.Time, client *analysis.Client) *Snapshot {
+	sn := &Snapshot{Epoch: epoch, Records: records, At: at, Client: client}
+	sn.report = sync.OnceValue(func() []byte {
+		s.reportRenders.Add(1)
+		var b bytes.Buffer
+		sn.WriteReport(&b, s.matcher(), s.opts.Workers)
+		return b.Bytes()
+	})
+	return sn
 }
 
 // Snapshot returns the current epoch. Never nil: epoch 0 with an empty
@@ -73,27 +85,5 @@ func (sn *Snapshot) WriteReport(w io.Writer, matcher *fingerprint.Matcher, worke
 // that panics keeps no bytes, and every read of that epoch panics with
 // the first one's value, so no read writes a partial report.
 func (s *Service) WriteSnapshotReport(w io.Writer) {
-	w.Write(s.snapshotReport(s.Snapshot()))
-}
-
-// snapshotReport returns sn's report bytes, rendering them on the first
-// call. The bytes are shared and must not be modified.
-func (s *Service) snapshotReport(sn *Snapshot) []byte {
-	r := &sn.report
-	r.once.Do(func() {
-		s.reportRenders.Add(1)
-		defer func() {
-			if p := recover(); p != nil {
-				r.fault = p
-				panic(p)
-			}
-		}()
-		var b bytes.Buffer
-		sn.WriteReport(&b, s.matcher(), s.opts.Workers)
-		r.text = b.Bytes()
-	})
-	if r.text == nil {
-		panic(r.fault)
-	}
-	return r.text
+	w.Write(s.Snapshot().report())
 }

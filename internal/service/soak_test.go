@@ -259,13 +259,12 @@ func TestSnapshotsArePrefixesOfAcceptedLog(t *testing.T) {
 
 // TestSnapshotTablesRenderConcurrently renders every client table of
 // one published snapshot from 4 goroutines at once, with 2 table
-// workers each, while 4 more read it through WriteSnapshotReport and
-// the live client keeps merging. The first render builds the snapshot's
-// table index while the others read it, and every render must equal a
-// sequential one of an independently merged client over the same
-// batches. The late batches wait at the worker gate until every cached
-// read has returned, so those reads are first reads of one epoch: they
-// must share one render.
+// workers each, while 4 more read its report the way WriteSnapshotReport
+// does and the live client keeps merging. The first render builds the
+// snapshot's table index while the others read it, and every render
+// must equal a sequential one of an independently merged client over
+// the same batches. The 4 report reads are first reads of one epoch:
+// they must share one render.
 func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 	recs := testRecords(t)
 	s := New(Options{Seed: 17, Workers: 2, QueueDepth: 256, SourceBudget: 256})
@@ -286,10 +285,9 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 	(&Snapshot{Epoch: snap.Epoch, Records: snap.Records, Client: ref}).
 		WriteReport(&want, libcorpus.NewMatcher(), 1)
 
-	s.PauseWorkers()
 	matcher := libcorpus.NewMatcher()
 	start := make(chan struct{})
-	var wg, reads sync.WaitGroup
+	var wg sync.WaitGroup
 	got := make([]bytes.Buffer, 4)
 	for i := range got {
 		wg.Add(1)
@@ -299,14 +297,14 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 			snap.WriteReport(buf, matcher, 2)
 		}(&got[i])
 	}
-	cached := make([]bytes.Buffer, 4)
+	cached := make([][]byte, 4)
 	for i := range cached {
-		reads.Add(1)
-		go func(buf *bytes.Buffer) {
-			defer reads.Done()
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
 			<-start
-			s.WriteSnapshotReport(buf)
-		}(&cached[i])
+			cached[i] = snap.report()
+		}(i)
 	}
 	wg.Add(1)
 	go func() {
@@ -318,8 +316,6 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 		}
 	}()
 	close(start)
-	reads.Wait()
-	s.ResumeWorkers()
 	wg.Wait()
 	drain(t, s)
 	for i := range got {
@@ -329,9 +325,9 @@ func TestSnapshotTablesRenderConcurrently(t *testing.T) {
 		}
 	}
 	for i := range cached {
-		if !bytes.Equal(cached[i].Bytes(), want.Bytes()) {
-			t.Fatalf("concurrent WriteSnapshotReport %d (%d bytes) differs from the sequential render (%d bytes)",
-				i, cached[i].Len(), want.Len())
+		if !bytes.Equal(cached[i], want.Bytes()) {
+			t.Fatalf("concurrent report read %d (%d bytes) differs from the sequential render (%d bytes)",
+				i, len(cached[i]), want.Len())
 		}
 	}
 	if n := s.Stats().ReportRenders; n != 1 {
@@ -389,7 +385,7 @@ func TestSnapshotReportRendersOnce(t *testing.T) {
 	if n := renders(); n != 2 {
 		t.Fatalf("reads of two epochs made %d renders, want 2", n)
 	}
-	if old := string(s.snapshotReport(first)); old != a {
+	if old := string(first.report()); old != a {
 		t.Fatal("the earlier snapshot's bytes changed after a later epoch rendered")
 	}
 	if n := renders(); n != 2 {
@@ -404,7 +400,7 @@ func TestSnapshotReportRendersOnce(t *testing.T) {
 func TestSnapshotReportPanicCachesNothing(t *testing.T) {
 	s := New(Options{Seed: 29, Workers: 2})
 	defer drain(t, s)
-	s.snap.Store(&Snapshot{Epoch: 7})
+	s.snap.Store(s.newSnapshot(7, 0, time.Time{}, nil))
 	read := func() (out []byte, fault any) {
 		var b bytes.Buffer
 		defer func() {
